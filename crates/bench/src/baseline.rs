@@ -1,6 +1,6 @@
 //! `--baseline` mode: runs the experiment under an in-memory trace and
 //! emits the `BENCH_<experiment>.json` artifact the CI perf gate
-//! compares against (see `simpadv_obs::baseline` for the schema and the
+//! compares against (see `simpadv_obs::artifact` for the schema and the
 //! comparison itself).
 //!
 //! The runner deliberately does **not** wrap the experiment in an extra
@@ -9,18 +9,50 @@
 //! `--trace` capture stays empty.
 
 use crate::BenchOpts;
-use simpadv_obs::baseline as obs;
-use simpadv_trace::Event;
+use simpadv_obs::{diff, Artifact, DiffOptions, Row, SpanTree};
+use simpadv_trace::{Event, FieldValue};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::path::PathBuf;
 
-fn scale_info(opts: &BenchOpts) -> obs::ScaleInfo {
-    obs::ScaleInfo {
-        train_samples: opts.scale.train_samples as u64,
-        test_samples: opts.scale.test_samples as u64,
-        epochs: opts.scale.epochs as u64,
-        seed: opts.scale.seed,
-    }
+/// One row per trainer: the logical cost of every `train` span, summed
+/// by its `trainer` field (spans without one group under `"unknown"`).
+fn trainer_rows(tree: &SpanTree) -> Vec<Row> {
+    let mut by_trainer: BTreeMap<String, [u64; 6]> = BTreeMap::new();
+    tree.walk(&mut |node| {
+        if node.name != "train" {
+            return;
+        }
+        let id = node
+            .fields
+            .iter()
+            .find_map(|(k, v)| match v {
+                FieldValue::Str(s) if k == "trainer" => Some(s.clone()),
+                _ => None,
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        let epochs = node.children.iter().filter(|c| c.name == "epoch").count() as u64;
+        let t = &node.total;
+        let add = [1, epochs, t.forward, t.backward, t.flops, t.attack_steps];
+        let sum = by_trainer.entry(id).or_default();
+        sum.iter_mut().zip(add).for_each(|(s, a)| *s += a);
+    });
+    let names = ["runs", "epochs", "forward", "backward", "flops", "attack_steps"];
+    by_trainer
+        .into_iter()
+        .map(|(id, sums)| Row::new(id, &names.into_iter().zip(sums).collect::<Vec<_>>()))
+        .collect()
+}
+
+/// Mean wall seconds per `epoch` span in the tree (`None` without any).
+fn mean_epoch_wall_s(tree: &SpanTree) -> Option<f64> {
+    let mut walls = Vec::new();
+    tree.walk(&mut |node| {
+        if node.name == "epoch" {
+            walls.push(node.total.wall_us as f64 / 1e6);
+        }
+    });
+    (!walls.is_empty()).then(|| walls.iter().sum::<f64>() / walls.len() as f64)
 }
 
 fn build_artifact(
@@ -28,36 +60,34 @@ fn build_artifact(
     experiment: &str,
     accuracies: Vec<(String, f64)>,
     streams: &[Vec<Event>],
-) -> Result<obs::BenchArtifact, Box<dyn Error>> {
-    let tree = simpadv_obs::build_tree(&streams[0])?;
-    let mut epoch_walls = Vec::new();
-    let mut total_walls = Vec::new();
-    for stream in streams {
-        let t = simpadv_obs::build_tree(stream)?;
-        let epochs = obs::epoch_walls_s(&t);
-        if !epochs.is_empty() {
-            epoch_walls.push(epochs.iter().sum::<f64>() / epochs.len() as f64);
-        }
-        total_walls.push(obs::total_wall_s(&t));
-    }
-    Ok(obs::BenchArtifact {
-        schema_version: obs::BENCH_SCHEMA_VERSION,
-        experiment: experiment.to_string(),
-        scale: scale_info(opts),
-        trainers: obs::trainer_costs(&tree),
-        accuracies,
-        events: streams[0].len() as u64,
-        trace_digest: obs::logical_digest(&streams[0]),
-        meta: obs::BenchMeta {
-            threads: opts.threads.unwrap_or(0) as u64,
-            threads_available: simpadv_runtime::available_threads() as u64,
-            repeat: streams.len() as u64,
-            wall_per_epoch_s: obs::WallStats::from_samples(&epoch_walls),
-            wall_total_s: obs::WallStats::from_samples(&total_walls),
-            repeats_logically_identical: obs::repeats_logically_identical(streams),
-            note: obs::WALL_NOTE.to_string(),
-        },
-    })
+) -> Result<Artifact, Box<dyn Error>> {
+    let trees =
+        streams.iter().map(|s| simpadv_obs::build_tree(s)).collect::<Result<Vec<_>, _>>()?;
+    let epoch_walls: Vec<f64> = trees.iter().filter_map(mean_epoch_wall_s).collect();
+    let total_walls: Vec<f64> =
+        trees.iter().map(|t| t.roots.iter().map(|r| r.total.wall_us as f64 / 1e6).sum()).collect();
+    let divergent = streams
+        .iter()
+        .skip(1)
+        .filter(|r| !diff(&streams[0], r, &DiffOptions::default()).logically_identical())
+        .count();
+
+    let mut a = Artifact::new(experiment);
+    a.push_scale("train_samples", opts.scale.train_samples);
+    a.push_scale("test_samples", opts.scale.test_samples);
+    a.push_scale("epochs", opts.scale.epochs);
+    a.push_scale("seed", opts.scale.seed);
+    a.rows = trainer_rows(&trees[0]);
+    a.accuracies = accuracies;
+    a.events = streams[0].len() as u64;
+    a.trace_digest = simpadv_obs::logical_digest(&streams[0]);
+    a.meta.push("threads", opts.threads.unwrap_or(0) as f64);
+    a.meta.push("threads_available", simpadv_runtime::available_threads() as f64);
+    a.meta.push("repeat", streams.len() as f64);
+    a.meta.push_wall("wall_per_epoch_s", &epoch_walls);
+    a.meta.push_wall("wall_total_s", &total_walls);
+    a.meta.push("divergent_repeats", divergent as f64);
+    Ok(a)
 }
 
 fn dump_jsonl(path: &std::path::Path, events: &[Event]) -> Result<(), Box<dyn Error>> {
@@ -114,7 +144,7 @@ pub fn run_with_baseline<T>(
     }
     let out = PathBuf::from(format!("BENCH_{experiment}.json"));
     simpadv_resilience::write_json_atomic(&out, &artifact)?;
-    let _: obs::BenchArtifact = crate::verify_artifact(&out)?;
+    let _: Artifact = crate::verify_artifact(&out)?;
     Ok((result, Some(out)))
 }
 
@@ -150,6 +180,7 @@ mod tests {
 
     #[test]
     fn baseline_mode_writes_artifact_and_trace_dump() {
+        let _tracer = crate::tracer_lock();
         let dir = std::env::temp_dir().join("simpadv-bench-baseline-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let mut opts = baseline_opts(&dir);
@@ -167,17 +198,19 @@ mod tests {
         let path = path.expect("artifact written");
         let text = std::fs::read_to_string(&path).expect("artifact readable");
         std::fs::remove_file(&path).expect("artifact cleanup");
-        let artifact: obs::BenchArtifact = serde_json::from_str(&text).expect("valid artifact");
+        let artifact: Artifact = serde_json::from_str(&text).expect("valid artifact");
         assert_eq!(artifact.experiment, "unittest");
-        assert_eq!(artifact.meta.repeat, 2);
-        assert!(artifact.meta.repeats_logically_identical);
-        assert_eq!(artifact.trainers.len(), 1);
-        assert_eq!(artifact.trainers[0].forward, 3);
+        assert_eq!(artifact.meta.get("repeat"), Some(2.0));
+        assert_eq!(artifact.meta.get("divergent_repeats"), Some(0.0));
+        assert_eq!(artifact.rows.len(), 1);
+        assert_eq!(artifact.rows[0].name, "proposed");
+        assert_eq!(artifact.rows[0].get("forward"), Some(3));
+        assert_eq!(artifact.rows[0].get("epochs"), Some(1));
         assert_eq!(artifact.accuracies, vec![("answer".to_string(), 42.0)]);
 
         let dump = std::fs::read_to_string(dir.join("trace.jsonl")).expect("dump readable");
         let events = simpadv_obs::read_events(&dump).expect("dump parses");
         assert_eq!(events.len() as u64, artifact.events);
-        assert_eq!(obs::logical_digest(&events), artifact.trace_digest);
+        assert_eq!(simpadv_obs::logical_digest(&events), artifact.trace_digest);
     }
 }

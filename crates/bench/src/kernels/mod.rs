@@ -14,20 +14,21 @@
 //! 2. **Wall sweep** (informational): warmup, a calibrated iteration
 //!    count aimed at a per-workload wall budget (see `calibrate.rs`),
 //!    and median/min/max seconds-per-iteration over `--repeat` runs,
-//!    from which GFLOP/s and GB/s are derived. All of it lands in the
+//!    from which GMAC/s (the `flops` counter counts multiply-accumulates)
+//!    and GB/s are derived. All of it lands in the
 //!    artifact's `meta` and can only ever warn in the perf gate — this
 //!    project benchmarks on one CPU, wall numbers are weather.
 //!
-//! The sweep emits `BENCH_kernels.json`
-//! ([`simpadv_obs::KernelsArtifact`]) plus, with `--flame-dir`,
+//! The sweep emits `BENCH_kernels.json` (a [`simpadv_obs::Artifact`]
+//! with one row per workload and each workload's group and shape as
+//! scale identity) plus, with `--flame-dir`,
 //! collapsed-stack flamegraphs of the logical sweep in both wall and
 //! flop weights.
 
 mod calibrate;
 
 use simpadv::ModelSpec;
-use simpadv_obs::baseline::{logical_digest, WallStats};
-use simpadv_obs::{FlameWeight, KernelRow, KernelWallRow, KernelsArtifact, KernelsMeta};
+use simpadv_obs::{logical_digest, Artifact, FlameWeight, Row};
 use simpadv_tensor::{im2col, matmul_bytes, Conv2dGeometry, Tensor};
 use simpadv_trace::{clock, span, Event};
 use std::error::Error;
@@ -285,7 +286,7 @@ impl KernelsOpts {
 /// The logical sweep: one traced iteration per workload, clock-delta
 /// counters per row, plus the captured event stream. Deterministic —
 /// same rows and digest on any machine at any thread count.
-fn logical_sweep(workloads: &mut [Workload]) -> (Vec<KernelRow>, Vec<Event>) {
+fn logical_sweep(workloads: &mut [Workload]) -> (Vec<Row>, Vec<Event>) {
     let handle = simpadv_trace::install_memory();
     let mut rows = Vec::with_capacity(workloads.len());
     {
@@ -297,16 +298,16 @@ fn logical_sweep(workloads: &mut [Workload]) -> (Vec<KernelRow>, Vec<Event>) {
                 w.run_once();
             }
             let d = clock::snapshot().delta_since(&before);
-            rows.push(KernelRow {
-                name: w.name.clone(),
-                group: w.group.to_string(),
-                shape: w.shape.clone(),
-                forward: d.forward,
-                backward: d.backward,
-                flops: d.flops,
-                attack_steps: d.attack_steps,
-                bytes: w.bytes,
-            });
+            rows.push(Row::new(
+                w.name.clone(),
+                &[
+                    ("forward", d.forward),
+                    ("backward", d.backward),
+                    ("flops", d.flops),
+                    ("attack_steps", d.attack_steps),
+                    ("bytes", w.bytes),
+                ],
+            ));
         }
     }
     simpadv_trace::flush();
@@ -316,60 +317,53 @@ fn logical_sweep(workloads: &mut [Workload]) -> (Vec<KernelRow>, Vec<Event>) {
 }
 
 /// The wall sweep: warmup, calibration, `repeat` timed loops per
-/// workload. Runs strictly after the trace sink is gone, so calibrated
-/// iteration counts can never leak events into the logical stream.
-fn wall_sweep(
-    workloads: &mut [Workload],
-    rows: &[KernelRow],
-    opts: &KernelsOpts,
-) -> Vec<KernelWallRow> {
+/// workload, recorded into `meta` as `<workload>/iters`,
+/// `<workload>/wall_per_iter_s` (median, min, max), `<workload>/gmac_s`
+/// and `<workload>/gb_s`. Runs strictly after the trace sink is gone,
+/// so calibrated iteration counts can never leak events into the
+/// logical stream.
+fn wall_sweep(workloads: &mut [Workload], artifact: &mut Artifact, opts: &KernelsOpts) {
     let target_s = opts.target_iter_wall_us as f64 / 1e6;
-    let mut out = Vec::with_capacity(workloads.len());
-    for (w, row) in workloads.iter_mut().zip(rows) {
+    for w in workloads.iter_mut() {
         for _ in 0..opts.warmup {
             w.run_once();
         }
         let iters = calibrate::calibrate_iters(&mut *w.run, target_s);
         let samples: Vec<f64> =
             (0..opts.repeat).map(|_| calibrate::time_iters(&mut *w.run, iters)).collect();
-        let stats = WallStats::from_samples(&samples);
-        let median = stats.median_s;
-        out.push(KernelWallRow {
-            name: w.name.clone(),
-            iters,
-            wall_per_iter_s: stats,
-            gflops: if median > 0.0 { row.flops as f64 / median / 1e9 } else { 0.0 },
-            gbytes_per_s: if median > 0.0 { row.bytes as f64 / median / 1e9 } else { 0.0 },
-        });
+        let flops = artifact.row(&w.name).and_then(|r| r.get("flops")).unwrap_or(0);
+        let wall = format!("{}/wall_per_iter_s", w.name);
+        let meta = &mut artifact.meta;
+        meta.push(format!("{}/iters", w.name), iters as f64);
+        meta.push_wall(&wall, &samples);
+        let median = meta.get(&wall).unwrap_or(0.0);
+        let rate = |units: u64| if median > 0.0 { units as f64 / median / 1e9 } else { 0.0 };
+        meta.push(format!("{}/gmac_s", w.name), rate(flops));
+        meta.push(format!("{}/gb_s", w.name), rate(w.bytes));
     }
-    out
 }
 
 /// Runs the full sweep and assembles the scoreboard artifact plus the
 /// logical sweep's event stream (for flamegraph output).
-pub fn run_sweep(opts: &KernelsOpts) -> (KernelsArtifact, Vec<Event>) {
+pub fn run_sweep(opts: &KernelsOpts) -> (Artifact, Vec<Event>) {
     if let Some(n) = opts.threads {
         simpadv_runtime::set_global_threads(n);
     }
     let mut workloads = registry();
     let (rows, events) = logical_sweep(&mut workloads);
-    let wall = wall_sweep(&mut workloads, &rows, opts);
-    let artifact = KernelsArtifact {
-        schema_version: simpadv_obs::KERNELS_SCHEMA_VERSION,
-        experiment: simpadv_obs::KERNELS_EXPERIMENT.to_string(),
-        workloads: rows,
-        events: events.len() as u64,
-        trace_digest: logical_digest(&events),
-        meta: KernelsMeta {
-            threads: opts.threads.unwrap_or(0) as u64,
-            threads_available: simpadv_runtime::available_threads() as u64,
-            repeat: opts.repeat as u64,
-            warmup: opts.warmup,
-            target_iter_wall_us: opts.target_iter_wall_us,
-            wall,
-            note: KernelsArtifact::wall_note(),
-        },
-    };
+    let mut artifact = Artifact::new("kernels");
+    for w in &workloads {
+        artifact.push_scale(&w.name, format!("{} {:?}", w.group, w.shape));
+    }
+    artifact.rows = rows;
+    artifact.events = events.len() as u64;
+    artifact.trace_digest = logical_digest(&events);
+    artifact.meta.push("threads", opts.threads.unwrap_or(0) as f64);
+    artifact.meta.push("threads_available", simpadv_runtime::available_threads() as f64);
+    artifact.meta.push("repeat", opts.repeat as f64);
+    artifact.meta.push("warmup", opts.warmup as f64);
+    artifact.meta.push("target_iter_wall_us", opts.target_iter_wall_us as f64);
+    wall_sweep(&mut workloads, &mut artifact, opts);
     (artifact, events)
 }
 
@@ -382,11 +376,11 @@ pub fn run_sweep(opts: &KernelsOpts) -> (KernelsArtifact, Vec<Event>) {
 /// Returns I/O and trace-reconstruction errors.
 pub fn write_outputs(
     opts: &KernelsOpts,
-    artifact: &KernelsArtifact,
+    artifact: &Artifact,
     events: &[Event],
 ) -> Result<(), Box<dyn Error>> {
     simpadv_resilience::write_json_atomic(&opts.out, artifact)?;
-    let _: KernelsArtifact = crate::verify_artifact(&opts.out)?;
+    let _: Artifact = crate::verify_artifact(&opts.out)?;
     if let Some(dir) = &opts.flame_dir {
         std::fs::create_dir_all(dir)?;
         let tree = simpadv_obs::build_tree(events)?;
@@ -406,26 +400,31 @@ pub fn write_outputs(
 
 /// Renders the human-facing scoreboard table: logical columns first,
 /// wall columns clearly bracketed as meta.
-pub fn render_table(artifact: &KernelsArtifact) -> String {
+pub fn render_table(artifact: &Artifact) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<34} {:>8} {:>4} {:>4} {:>12} {:>12} | {:>12} {:>9} {:>9}",
-        "workload", "group", "fwd", "bwd", "flops", "bytes", "wall/iter(s)", "GFLOP/s", "GB/s"
+        "{:<34} {:>4} {:>4} {:>12} {:>12} | {:>12} {:>9} {:>9}",
+        "workload", "fwd", "bwd", "flops", "bytes", "wall/iter(s)", "GMAC/s", "GB/s"
     );
-    for row in &artifact.workloads {
-        let wall = artifact.meta.wall.iter().find(|w| w.name == row.name);
-        let (wps, gf, gb) = wall
-            .map(|w| (w.wall_per_iter_s.median_s, w.gflops, w.gbytes_per_s))
-            .unwrap_or((0.0, 0.0, 0.0));
+    for row in &artifact.rows {
+        let counter = |k: &str| row.get(k).unwrap_or(0);
+        let meta = |k: &str| artifact.meta.get(&format!("{}/{k}", row.name)).unwrap_or(0.0);
         let _ = writeln!(
             out,
-            "{:<34} {:>8} {:>4} {:>4} {:>12} {:>12} | {:>12.3e} {:>9.2} {:>9.2}",
-            row.name, row.group, row.forward, row.backward, row.flops, row.bytes, wps, gf, gb
+            "{:<34} {:>4} {:>4} {:>12} {:>12} | {:>12.3e} {:>9.2} {:>9.2}",
+            row.name,
+            counter("forward"),
+            counter("backward"),
+            counter("flops"),
+            counter("bytes"),
+            meta("wall_per_iter_s"),
+            meta("gmac_s"),
+            meta("gb_s"),
         );
     }
-    let _ = writeln!(out, "({})", artifact.meta.note);
+    let _ = writeln!(out, "({})", artifact.meta.note("wall").unwrap_or_default());
     out
 }
 
@@ -469,31 +468,35 @@ mod tests {
 
     #[test]
     fn logical_sweep_rows_match_the_shape_formulas() {
+        let _tracer = crate::tracer_lock();
         let mut workloads = registry();
         let (rows, events) = logical_sweep(&mut workloads);
         assert_eq!(rows.len(), workloads.len());
         assert!(!events.is_empty());
 
+        let counters = |r: &Row| {
+            ["forward", "backward", "flops", "attack_steps"].map(|k| r.get(k).expect("counter"))
+        };
         let mm = rows.iter().find(|r| r.name.starts_with("matmul/64x784x")).expect("matmul row");
-        assert_eq!(mm.flops, matmul_flops(64, 784, 128));
-        assert_eq!((mm.forward, mm.backward, mm.attack_steps), (0, 0, 0));
+        assert_eq!(counters(mm), [0, 0, matmul_flops(64, 784, 128), 0]);
 
-        let step = rows.iter().find(|r| r.group == "attack" && r.name.contains("signed_step"));
-        let step = step.expect("signed_step row");
-        assert_eq!((step.forward, step.backward, step.attack_steps), (1, 1, 1));
-        assert!(step.flops > 0, "the gradient passes tick flops");
+        let step = rows.iter().find(|r| r.name.contains("signed_step")).expect("signed_step row");
+        let [forward, backward, flops, steps] = counters(step);
+        assert_eq!((forward, backward, steps), (1, 1, 1));
+        assert!(flops > 0, "the gradient passes tick flops");
 
         let ball = rows.iter().find(|r| r.name.contains("project_ball")).expect("project_ball row");
-        assert_eq!((ball.forward, ball.backward, ball.flops, ball.attack_steps), (0, 0, 0, 0));
-        assert_eq!(ball.bytes, simpadv_attacks::project_ball_bytes(16 * 784));
+        assert_eq!(counters(ball), [0, 0, 0, 0]);
+        assert_eq!(ball.get("bytes"), Some(simpadv_attacks::project_ball_bytes(16 * 784)));
 
-        let serve = rows.iter().find(|r| r.group == "serve").expect("serve row");
-        assert_eq!(serve.forward, 1);
-        assert_eq!(serve.flops, matmul_flops(16, 784, 128) + matmul_flops(16, 128, 10));
+        let serve = rows.iter().find(|r| r.name.starts_with("serve")).expect("serve row");
+        let flops = matmul_flops(16, 784, 128) + matmul_flops(16, 128, 10);
+        assert_eq!(counters(serve), [1, 0, flops, 0]);
     }
 
     #[test]
     fn logical_sweep_is_reproducible() {
+        let _tracer = crate::tracer_lock();
         // Same rows, same digest, run to run — the property the
         // threads-1-vs-4 CI check rests on.
         let (rows_a, events_a) = logical_sweep(&mut registry());
@@ -504,6 +507,7 @@ mod tests {
 
     #[test]
     fn sweep_trace_has_one_span_per_workload() {
+        let _tracer = crate::tracer_lock();
         let mut workloads = registry();
         let n = workloads.len();
         let (_, events) = logical_sweep(&mut workloads);
@@ -518,6 +522,7 @@ mod tests {
 
     #[test]
     fn full_run_produces_a_self_consistent_artifact() {
+        let _tracer = crate::tracer_lock();
         let opts = KernelsOpts {
             target_iter_wall_us: 200, // keep the test fast
             repeat: 2,
@@ -525,26 +530,24 @@ mod tests {
             ..KernelsOpts::default()
         };
         let (artifact, events) = run_sweep(&opts);
-        assert_eq!(artifact.schema_version, simpadv_obs::KERNELS_SCHEMA_VERSION);
-        assert_eq!(artifact.experiment, simpadv_obs::KERNELS_EXPERIMENT);
+        assert_eq!(artifact.schema_version, simpadv_obs::SCHEMA_VERSION);
+        assert_eq!(artifact.experiment, "kernels");
         assert_eq!(artifact.events, events.len() as u64);
-        assert_eq!(artifact.workloads.len(), artifact.meta.wall.len());
-        for wall in &artifact.meta.wall {
-            assert!(wall.iters >= 1);
-            assert!(wall.wall_per_iter_s.median_s >= 0.0);
+        assert_eq!(artifact.scale.len(), artifact.rows.len(), "one identity entry per workload");
+        for row in &artifact.rows {
+            let meta = |k: &str| artifact.meta.get(&format!("{}/{k}", row.name));
+            assert!(meta("iters").expect("iters") >= 1.0);
+            assert!(meta("wall_per_iter_s").expect("wall") >= 0.0);
+            assert!(meta("gmac_s").is_some() && meta("gb_s").is_some());
         }
         // identity comparison passes the gate cleanly
-        let report = simpadv_obs::compare_kernels(
-            &artifact,
-            &artifact,
-            &simpadv_obs::CompareOptions::default(),
-        );
+        let report = simpadv_obs::compare(&artifact, &artifact, 25.0);
         assert!(report.passed(), "{:?}", report.regressions);
         // the table renders every workload and the wall caveat
         let table = render_table(&artifact);
-        for row in &artifact.workloads {
+        for row in &artifact.rows {
             assert!(table.contains(&row.name), "missing {} in:\n{table}", row.name);
         }
-        assert!(table.contains(&artifact.meta.note));
+        assert!(table.contains("GMAC/s") && table.contains(simpadv_obs::WALL_NOTE), "{table}");
     }
 }

@@ -9,10 +9,14 @@
 //!   for the larger workload, `--smoke` for a seconds-scale sanity run,
 //!   and `--trace FILE` to capture a structured event trace of the run
 //!   (summarize it with `simpadv-cli trace summarize FILE`).
-//! * **Criterion benches** — `cargo bench -p simpadv-bench` measures the
-//!   substrate (tensor/layer throughput), attack generation cost, and the
-//!   per-epoch training cost of every method (the micro version of
-//!   Table I's time column).
+//! * **Kernel lab** — `bench kernels` (also `--bin kernels`) sweeps the
+//!   hot kernels at real experiment shapes into `BENCH_kernels.json`:
+//!   gated logical rows, wall statistics in `meta` (see [`kernels`]).
+//! * **Serve load generator** — `--bin serve` drives the inference
+//!   server and writes `BENCH_serve.json`.
+//!
+//! Every artifact is one `simpadv_obs::Artifact`, gated by
+//! `simpadv-cli bench compare`.
 
 use simpadv::experiments::ExperimentScale;
 use simpadv_trace::TraceFormat;
@@ -233,6 +237,15 @@ pub fn write_artifact<T: serde::Serialize>(
     let path = dir.join(name);
     simpadv_resilience::write_json_atomic(&path, value)?;
     Ok(path)
+}
+
+/// Serializes the tests that run traced workloads: the tracer and its
+/// logical clock are process-global, so two traced runs on parallel
+/// test threads would count each other's passes.
+#[cfg(test)]
+pub(crate) fn tracer_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ fn grid_args(dir: &Path, out: &Path, traces: &Path) -> Vec<String> {
     .collect()
 }
 
-fn load_artifact(path: &Path) -> simpadv_obs::SweepArtifact {
+fn load_artifact(path: &Path) -> simpadv_obs::Artifact {
     let text = std::fs::read_to_string(path).unwrap();
     simpadv_obs::parse_artifact(&text).unwrap()
 }
@@ -137,9 +137,19 @@ fn chaos_campaign_assembles_to_the_uninterrupted_logical_tree() {
     assert!(ok, "chaos campaign failed:\n{log}");
 
     let (reference, interrupted) = (load_artifact(&ref_out), load_artifact(&chaos_out));
-    assert!(interrupted.meta.retries_spent >= 1, "the kill must have cost a retry");
-    assert!(interrupted.meta.attempts_total >= 3, "2 cells plus at least one retry");
-    assert_eq!(interrupted.cells, reference.cells, "chaos must not change logical rows");
+    assert!(
+        interrupted.meta.get("retries_spent").expect("meta") >= 1.0,
+        "the kill must have cost a retry"
+    );
+    assert!(
+        interrupted.meta.get("attempts_total").expect("meta") >= 3.0,
+        "2 cells plus at least one retry"
+    );
+    assert_eq!(
+        (&interrupted.rows, &interrupted.accuracies),
+        (&reference.rows, &reference.accuracies),
+        "chaos must not change logical rows"
+    );
 
     // The assembled logical projection is identical between the
     // uninterrupted and the chaos+retry campaign, byte for byte.
@@ -163,7 +173,8 @@ fn chaos_campaign_assembles_to_the_uninterrupted_logical_tree() {
     assert_eq!(tree.roots[0].name, "campaign");
     let attempts = count_named(&tree.roots[0], "sweep/attempt");
     assert_eq!(
-        attempts as u64, interrupted.meta.attempts_total,
+        Some(attempts as f64),
+        interrupted.meta.get("attempts_total"),
         "one attempt subtree per charged attempt"
     );
 

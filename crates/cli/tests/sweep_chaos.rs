@@ -57,7 +57,7 @@ fn grid_args(dir: &Path, out: &Path) -> Vec<String> {
     .collect()
 }
 
-fn load_artifact(path: &Path) -> simpadv_obs::SweepArtifact {
+fn load_artifact(path: &Path) -> simpadv_obs::Artifact {
     let text = std::fs::read_to_string(path).unwrap();
     simpadv_obs::parse_artifact(&text).unwrap()
 }
@@ -77,8 +77,12 @@ fn healthy_campaign_completes_and_self_compares() {
 
     let artifact = load_artifact(&out);
     assert_eq!(artifact.experiment, "sweep");
-    assert_eq!(artifact.completed, 2);
-    assert_eq!(artifact.meta.attempts_total, 2, "healthy cells take one attempt each");
+    assert_eq!(artifact.row("campaign").and_then(|r| r.get("completed")), Some(2));
+    assert_eq!(
+        artifact.meta.get("attempts_total"),
+        Some(2.0),
+        "healthy cells take one attempt each"
+    );
 
     // the written aggregate self-compares clean through the perf gate
     let (ok, log) = run_cli(&["bench", "compare", out.to_str().unwrap(), out.to_str().unwrap()]);
@@ -105,8 +109,15 @@ fn chaos_killed_cells_converge_to_the_uninterrupted_result() {
     assert!(ok, "chaos campaign failed:\n{log}");
 
     let (reference, interrupted) = (load_artifact(&ref_out), load_artifact(&chaos_out));
-    assert_eq!(interrupted.cells, reference.cells, "chaos must not change logical rows");
-    assert!(interrupted.meta.retries_spent >= 1, "the kill must have cost a retry");
+    assert_eq!(
+        (&interrupted.rows, &interrupted.accuracies),
+        (&reference.rows, &reference.accuracies),
+        "chaos must not change logical rows"
+    );
+    assert!(
+        interrupted.meta.get("retries_spent").expect("meta") >= 1.0,
+        "the kill must have cost a retry"
+    );
 
     // cross-compare through the CLI gate: logical pass (retries only warn)
     let (ok, log) =
@@ -148,9 +159,13 @@ fn orchestrator_death_resumes_to_the_identical_aggregate() {
     assert!(log.contains("folded 1 in-flight cell"), "{log}");
 
     let resumed = load_artifact(&resumed_out);
-    assert_eq!(resumed.cells, reference.cells, "resume must reproduce the aggregate bitwise");
-    assert_eq!(resumed.completed, 2);
-    assert!(resumed.quarantined.is_empty());
+    assert_eq!(
+        (&resumed.rows, &resumed.accuracies),
+        (&reference.rows, &reference.accuracies),
+        "resume must reproduce the aggregate bitwise"
+    );
+    assert_eq!(resumed.row("campaign").and_then(|r| r.get("completed")), Some(2));
+    assert!(simpadv_sweep::quarantined_ids(&resumed).is_empty());
 }
 
 #[test]
@@ -168,10 +183,12 @@ fn all_cells_quarantined_fails_the_exit_code_but_writes_the_aggregate() {
     assert!(log.contains("2 cell(s) quarantined"), "{log}");
 
     let artifact = load_artifact(&out);
-    assert_eq!(artifact.completed, 0);
-    assert_eq!(artifact.quarantined.len(), 2);
-    for q in &artifact.quarantined {
-        assert!(q.cause.contains("attempt cap"), "{}", q.cause);
-        assert!(q.cause.contains("exited with code 1"), "{}", q.cause);
+    assert_eq!(artifact.row("campaign").and_then(|r| r.get("completed")), Some(0));
+    let ids = simpadv_sweep::quarantined_ids(&artifact);
+    assert_eq!(ids.len(), 2);
+    for id in ids {
+        let cause = artifact.meta.note(&format!("quarantined/{id}")).expect("cause note");
+        assert!(cause.contains("attempt cap"), "{cause}");
+        assert!(cause.contains("exited with code 1"), "{cause}");
     }
 }

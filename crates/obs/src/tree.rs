@@ -307,12 +307,13 @@ pub fn hot_spots(tree: &SpanTree, by: TopBy, limit: usize) -> Vec<HotSpot> {
 
 /// Renders the hot-spot table as `trace top` prints it. The throughput
 /// column is wall-derived and therefore non-logical (hence the `meta`
-/// marker in its header).
+/// marker in its header); the `flops` counter counts multiply-
+/// accumulates, so the rate is in MMAC/s.
 pub fn render_top(spots: &[HotSpot]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<44} {:>5} {:>11} {:>11} {:>10} {:>10} {:>12} {:>14}\n",
-        "span", "count", "self_ms", "total_ms", "fwd", "bwd", "flops", "mflops/s(meta)"
+        "span", "count", "self_ms", "total_ms", "fwd", "bwd", "flops", "mmac/s(meta)"
     ));
     for s in spots {
         out.push_str(&format!(
@@ -498,7 +499,7 @@ mod tests {
         assert_eq!(top[0].path, "train");
         let table = render_top(&top);
         assert!(table.contains("train"));
-        assert!(table.contains("mflops/s(meta)"));
+        assert!(table.contains("mmac/s(meta)"));
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! to the tree's totals, a trace always diffs clean against itself, and
 //! the campaign collector assembles a single-rooted, telescoping tree
 //! whatever mix of torn, missing, and healthy per-process traces it is
-//! handed.
+//! handed, and the artifact parser answers any bytes with a value or a
+//! typed error, never a panic.
 
 use proptest::prelude::*;
 use simpadv_obs::{
-    assemble, attribute, build_tree, collapse, diff, normalize, parse_collapsed, prefix_totals,
-    render_collapsed, CostVector, DiffOptions, FlameWeight, SpanNode,
+    assemble, attribute, build_tree, collapse, diff, normalize, parse_artifact, parse_collapsed,
+    prefix_totals, render_collapsed, Artifact, CostVector, DiffOptions, FlameWeight, ObsError,
+    SpanNode,
 };
 use simpadv_trace::{Event, EventKind, FieldValue, TraceContext};
 
@@ -357,5 +359,44 @@ proptest! {
             prop_assert!(event.meta.is_empty(), "meta must be stripped: {:?}", event);
             prop_assert!(event.ctx.is_none(), "ctx must be stripped: {:?}", event);
         }
+    }
+}
+
+/// The committed artifacts `bench compare --all .` self-gates.
+const COMMITTED: [&str; 2] =
+    [include_str!("../../../BENCH_table1.json"), include_str!("../../../BENCH_kernels.json")];
+
+proptest! {
+    #[test]
+    fn arbitrary_bytes_parse_or_fail_typed(bytes in prop::collection::vec(0u8..=255, 0..512)) {
+        // The result type is the whole property: a value or an
+        // `ObsError`, and returning at all means no panic.
+        let _: Result<Artifact, ObsError> = parse_artifact(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn committed_artifact_prefixes_are_typed_truncations(which in 0usize..2, cut in 0usize..1_000_000) {
+        let text = COMMITTED[which].trim_end();
+        prop_assert!(parse_artifact::<Artifact>(text).is_ok(), "committed artifact {} parses", which);
+        let prefix = &text[..cut % text.len()];
+        let result = parse_artifact::<Artifact>(prefix);
+        prop_assert!(
+            matches!(result, Err(ObsError::TruncatedArtifact { .. })),
+            "prefix of {} bytes: {:?}",
+            prefix.len(),
+            result.err()
+        );
+    }
+
+    #[test]
+    fn committed_artifact_byte_flips_parse_or_fail_typed(
+        which in 0usize..2,
+        at in 0usize..1_000_000,
+        byte in 0u8..=255,
+    ) {
+        let mut bytes = COMMITTED[which].as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let _: Result<Artifact, ObsError> = parse_artifact(&String::from_utf8_lossy(&bytes));
     }
 }

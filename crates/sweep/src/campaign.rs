@@ -27,8 +27,8 @@
 //! and checkpoint resume restores the accumulated report state, so a
 //! cell that crashed at any point and re-ran produces the identical
 //! sealed report. The aggregate's logical sections are a pure function
-//! of those reports in grid order; attempts, retries and wall time are
-//! quarantined in `meta`.
+//! of those reports in grid order; attempts, retries, wall time and
+//! quarantine causes are quarantined in `meta`.
 
 use crate::backoff_for;
 use crate::chaos::{ChaosConfig, ChaosState};
@@ -36,14 +36,22 @@ use crate::error::SweepError;
 use crate::manifest::{CampaignConfig, CampaignManifest, CellStatus, ManifestStore};
 use crate::report::CellReport;
 use crate::supervise::{run_cell, CellOutcome, ChildCommand, Supervision};
-use simpadv_obs::sweep::{
-    QuarantineRow, SweepArtifact, SweepCellRow, SweepMeta, SweepScale, SWEEP_EXPERIMENT,
-    SWEEP_SCHEMA_VERSION,
-};
+use simpadv_obs::{Artifact, Row};
 use simpadv_resilience::backoff::derive_seed;
 use simpadv_trace::clock::WallTimer;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// Row-name prefix of a quarantined cell in the aggregate. The id is
+/// logical (a cell that gave up is a different outcome); its failure
+/// cause may vary with timing, so it is the `meta` note of the same
+/// name and only warns.
+pub const QUARANTINED: &str = "quarantined/";
+
+/// Ids of the cells quarantined in a campaign aggregate, in grid order.
+pub fn quarantined_ids(artifact: &Artifact) -> Vec<&str> {
+    artifact.rows.iter().filter_map(|r| r.name.strip_prefix(QUARANTINED)).collect()
+}
 
 /// A campaign bound to its durable home directory.
 pub struct Campaign {
@@ -125,7 +133,7 @@ impl Campaign {
         chaos: ChaosConfig,
         out: &Path,
         progress: &mut dyn Write,
-    ) -> Result<SweepArtifact, SweepError> {
+    ) -> Result<Artifact, SweepError> {
         // With a trace directory, the campaign is the root of a
         // cross-process trace whose id is a pure function of the grid
         // seed — a resumed orchestrator regrows the same trace id, so
@@ -171,8 +179,8 @@ impl Campaign {
         let _ = writeln!(
             progress,
             "campaign done: {} completed, {} quarantined -> {}",
-            artifact.completed,
-            artifact.quarantined.len(),
+            artifact.row("campaign").and_then(|r| r.get("completed")).unwrap_or(0),
+            quarantined_ids(&artifact).len(),
             out.display()
         );
         Ok(artifact)
@@ -352,65 +360,64 @@ impl Campaign {
         ]
     }
 
-    /// Builds the aggregate from the terminal manifest + cell reports.
-    fn aggregate(&self, wall_total_s: f64) -> Result<SweepArtifact, SweepError> {
+    /// Builds the aggregate from the terminal manifest + cell reports:
+    /// a `campaign` row counting completed cells, then one row per cell
+    /// in grid order (its id names method, eps, samples and threads),
+    /// with each completed cell's accuracies named `<id>/<column>`.
+    fn aggregate(&self, wall_total_s: f64) -> Result<Artifact, SweepError> {
         let grid = &self.manifest.config.grid;
+        let list = |items: &[u64]| items.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+        let mut a = Artifact::new("sweep");
+        a.push_scale("dataset", &grid.dataset);
+        a.push_scale("epochs", grid.epochs);
+        a.push_scale("seed", grid.seed);
+        a.push_scale("test_samples", grid.test_samples);
+        a.push_scale("methods", grid.methods.join(","));
+        a.push_scale(
+            "epsilons",
+            grid.epsilons.iter().map(f32::to_string).collect::<Vec<_>>().join(","),
+        );
+        a.push_scale("samples", list(&grid.samples));
+        a.push_scale("threads", list(&grid.threads));
+        let mut completed = 0;
         let mut cells = Vec::new();
-        let mut quarantined = Vec::new();
         for cell in &self.manifest.cells {
+            let id = &cell.spec.id;
             match cell.status {
                 CellStatus::Done => {
-                    let report =
-                        CellReport::load(&cell_dir(&self.dir, &cell.spec.id).join("report.json"))?;
-                    cells.push(SweepCellRow {
-                        id: cell.spec.id.clone(),
-                        method: cell.spec.method.clone(),
-                        eps: f64::from(report.eps),
-                        samples: report.samples,
-                        threads: cell.spec.threads,
-                        final_loss: f64::from(report.final_loss),
-                        columns: report.columns.clone(),
-                        accuracies: report.accuracies.iter().map(|a| f64::from(*a)).collect(),
-                    });
+                    let report = CellReport::load(&cell_dir(&self.dir, id).join("report.json"))?;
+                    completed += 1;
+                    cells.push(
+                        Row::new(
+                            id.clone(),
+                            &[("samples", report.samples), ("threads", cell.spec.threads)],
+                        )
+                        .value("eps", f64::from(report.eps))
+                        .value("final_loss", f64::from(report.final_loss)),
+                    );
+                    for (column, acc) in report.columns.iter().zip(&report.accuracies) {
+                        a.accuracies.push((format!("{id}/{column}"), f64::from(*acc)));
+                    }
                 }
-                CellStatus::Quarantined => quarantined.push(QuarantineRow {
-                    id: cell.spec.id.clone(),
-                    cause: cell
-                        .last_error
-                        .clone()
-                        .unwrap_or_else(|| "retry allowance exhausted".to_string()),
-                }),
+                CellStatus::Quarantined => {
+                    let name = format!("{QUARANTINED}{id}");
+                    let cause = cell.last_error.as_deref().unwrap_or("retry allowance exhausted");
+                    a.meta.notes.push((name.clone(), cause.to_string()));
+                    cells.push(Row::new(name, &[]));
+                }
                 CellStatus::Pending | CellStatus::Running => {
                     return Err(SweepError::Config(format!(
-                        "cell {} is not terminal; aggregate called too early",
-                        cell.spec.id
+                        "cell {id} is not terminal; aggregate called too early"
                     )));
                 }
             }
         }
+        a.rows.push(Row::new("campaign", &[("completed", completed)]));
+        a.rows.extend(cells);
         let attempts_total: u64 = self.manifest.cells.iter().map(|c| u64::from(c.attempts)).sum();
-        Ok(SweepArtifact {
-            schema_version: SWEEP_SCHEMA_VERSION,
-            experiment: SWEEP_EXPERIMENT.to_string(),
-            scale: SweepScale {
-                dataset: grid.dataset.clone(),
-                epochs: grid.epochs,
-                seed: grid.seed,
-                test_samples: grid.test_samples,
-                methods: grid.methods.clone(),
-                epsilons: grid.epsilons.iter().map(|e| f64::from(*e)).collect(),
-                samples: grid.samples.clone(),
-                threads: grid.threads.clone(),
-            },
-            completed: cells.len() as u64,
-            cells,
-            quarantined,
-            meta: SweepMeta {
-                wall_total_s,
-                attempts_total,
-                retries_spent: u64::from(self.manifest.retries_spent),
-                note: SweepArtifact::wall_note(),
-            },
-        })
+        a.meta.push("wall_total_s", wall_total_s);
+        a.meta.push("attempts_total", attempts_total as f64);
+        a.meta.push("retries_spent", f64::from(self.manifest.retries_spent));
+        Ok(a)
     }
 }

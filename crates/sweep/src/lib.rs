@@ -30,11 +30,10 @@
 //!   injection, so the recovery path is exercised by CI rather than
 //!   trusted.
 //!
-//! The output is `BENCH_sweep.json`
-//! ([`simpadv_obs::sweep::SweepArtifact`]): logical per-cell rows that
-//! must reproduce bitwise whether or not the campaign was interrupted,
-//! plus an explicit quarantine list, with retry effort confined to
-//! `meta`.
+//! The output is `BENCH_sweep.json` (a [`simpadv_obs::Artifact`]):
+//! logical per-cell rows and accuracies that must reproduce bitwise
+//! whether or not the campaign was interrupted, plus an explicit row per
+//! quarantined cell, with retry effort confined to `meta`.
 
 pub mod campaign;
 pub mod chaos;
@@ -44,7 +43,7 @@ pub mod manifest;
 pub mod report;
 pub mod supervise;
 
-pub use campaign::Campaign;
+pub use campaign::{quarantined_ids, Campaign};
 pub use chaos::ChaosConfig;
 pub use error::SweepError;
 pub use grid::{CellSpec, GridSpec, KNOWN_METHODS};

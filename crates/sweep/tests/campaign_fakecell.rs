@@ -2,10 +2,13 @@
 //! `fakecell` child (a scriptable stand-in that speaks the real child
 //! protocol: durable attempt counter, sealed report, exit codes).
 
-use simpadv_obs::sweep::compare_sweep;
+use simpadv_obs::{compare, Artifact, DEFAULT_WALL_THRESHOLD_PCT};
+use simpadv_sweep::campaign::QUARANTINED;
 use simpadv_sweep::manifest::{CampaignConfig, ManifestStore, MANIFEST_VERSION};
 use simpadv_sweep::supervise::ChildCommand;
-use simpadv_sweep::{Campaign, CellStatus, ChaosConfig, GridSpec, RetryConfig, SweepError};
+use simpadv_sweep::{
+    quarantined_ids, Campaign, CellStatus, ChaosConfig, GridSpec, RetryConfig, SweepError,
+};
 use std::path::{Path, PathBuf};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -54,10 +57,26 @@ fn run_campaign(
     cfg: CampaignConfig,
     child: &ChildCommand,
     chaos: ChaosConfig,
-) -> simpadv_obs::sweep::SweepArtifact {
+) -> Artifact {
     let mut campaign = Campaign::start(dir, cfg).unwrap();
     let mut progress = Vec::new();
     campaign.run(child, chaos, &dir.join("BENCH_sweep.json"), &mut progress).unwrap()
+}
+
+fn completed(a: &Artifact) -> u64 {
+    a.row("campaign").and_then(|r| r.get("completed")).expect("campaign row")
+}
+
+fn meta(a: &Artifact, name: &str) -> f64 {
+    a.meta.get(name).expect("meta value")
+}
+
+/// Failure causes of the quarantined cells, in grid order.
+fn causes(a: &Artifact) -> Vec<&str> {
+    quarantined_ids(a)
+        .into_iter()
+        .map(|id| a.meta.note(&format!("{QUARANTINED}{id}")).expect("cause note"))
+        .collect()
 }
 
 #[test]
@@ -66,11 +85,11 @@ fn healthy_campaign_completes_every_cell() {
     let cfg = config(grid(&["vanilla", "proposed"], &[16, 32]), quick_retry(3, 8));
     let artifact = run_campaign(&dir, cfg, &fakecell(&[]), ChaosConfig::default());
 
-    assert_eq!(artifact.completed, 4);
-    assert!(artifact.quarantined.is_empty());
-    assert_eq!(artifact.meta.attempts_total, 4, "one attempt per healthy cell");
-    assert_eq!(artifact.meta.retries_spent, 0);
-    assert_eq!(artifact.cells[0].id, "c000-vanilla-e300m-s16-t1");
+    assert_eq!(completed(&artifact), 4);
+    assert!(quarantined_ids(&artifact).is_empty());
+    assert_eq!(meta(&artifact, "attempts_total"), 4.0, "one attempt per healthy cell");
+    assert_eq!(meta(&artifact, "retries_spent"), 0.0);
+    assert_eq!(artifact.rows[1].name, "c000-vanilla-e300m-s16-t1");
     // The artifact landed on disk as plain JSON.
     let text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
     assert!(text.contains("\"experiment\": \"sweep\""));
@@ -100,14 +119,15 @@ fn crashing_cells_are_retried_and_produce_identical_results() {
         ChaosConfig::default(),
     );
 
-    assert_eq!(artifact.completed, 2);
-    assert_eq!(artifact.meta.retries_spent, 4, "two retries per cell");
-    assert_eq!(artifact.meta.attempts_total, 6);
+    assert_eq!(completed(&artifact), 2);
+    assert_eq!(meta(&artifact, "retries_spent"), 4.0, "two retries per cell");
+    assert_eq!(meta(&artifact, "attempts_total"), 6.0);
     // The logical sections are bitwise identical to the crash-free run;
     // only meta (attempts/retries/wall) differs.
-    assert_eq!(artifact.cells, reference.cells);
+    assert_eq!(artifact.rows, reference.rows);
+    assert_eq!(artifact.accuracies, reference.accuracies);
     assert_eq!(artifact.scale, reference.scale);
-    let report = compare_sweep(&reference, &artifact);
+    let report = compare(&reference, &artifact, DEFAULT_WALL_THRESHOLD_PCT);
     assert!(report.passed(), "{:?}", report.regressions);
     assert!(report.warnings.iter().any(|w| w.contains("retries")), "{:?}", report.warnings);
     let _ = std::fs::remove_dir_all(&ref_dir);
@@ -125,14 +145,11 @@ fn attempt_cap_quarantines_without_killing_the_campaign() {
         &fakecell(&["--fakecell-fail-times", "99"]),
         ChaosConfig::default(),
     );
-    assert_eq!(artifact.completed, 0);
-    assert_eq!(artifact.quarantined.len(), 2);
-    assert!(
-        artifact.quarantined[0].cause.contains("attempt cap"),
-        "{}",
-        artifact.quarantined[0].cause
-    );
-    assert!(artifact.quarantined[0].cause.contains("exited with code 3"));
+    assert_eq!(completed(&artifact), 0);
+    assert_eq!(quarantined_ids(&artifact).len(), 2);
+    let cause = causes(&artifact)[0];
+    assert!(cause.contains("attempt cap"), "{cause}");
+    assert!(cause.contains("exited with code 3"), "{cause}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -147,13 +164,10 @@ fn campaign_budget_bounds_total_retries() {
         &fakecell(&["--fakecell-fail-times", "99"]),
         ChaosConfig::default(),
     );
-    assert_eq!(artifact.meta.retries_spent, 1);
-    assert_eq!(artifact.quarantined.len(), 2);
-    assert!(
-        artifact.quarantined.iter().any(|q| q.cause.contains("budget exhausted")),
-        "{:?}",
-        artifact.quarantined
-    );
+    assert_eq!(meta(&artifact, "retries_spent"), 1.0);
+    assert_eq!(quarantined_ids(&artifact).len(), 2);
+    let causes = causes(&artifact);
+    assert!(causes.iter().any(|c| c.contains("budget exhausted")), "{causes:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -168,12 +182,9 @@ fn deadline_overrun_is_a_classified_failure() {
         &fakecell(&["--fakecell-hang-us", "20000000"]),
         ChaosConfig::default(),
     );
-    assert_eq!(artifact.quarantined.len(), 1);
-    assert!(
-        artifact.quarantined[0].cause.contains("deadline"),
-        "{}",
-        artifact.quarantined[0].cause
-    );
+    assert_eq!(quarantined_ids(&artifact).len(), 1);
+    let cause = causes(&artifact)[0];
+    assert!(cause.contains("deadline"), "{cause}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -200,9 +211,10 @@ fn chaos_kill_mid_cell_is_retried_to_the_same_result() {
             child_failpoints: None,
         },
     );
-    assert_eq!(artifact.completed, 1);
-    assert_eq!(artifact.meta.retries_spent, 2);
-    assert_eq!(artifact.cells, reference.cells, "kills must not change results");
+    assert_eq!(completed(&artifact), 1);
+    assert_eq!(meta(&artifact, "retries_spent"), 2.0);
+    assert_eq!(artifact.rows, reference.rows, "kills must not change results");
+    assert_eq!(artifact.accuracies, reference.accuracies);
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -246,12 +258,12 @@ fn orchestrator_death_mid_cell_resumes_exactly() {
         .run(&fakecell(&[]), ChaosConfig::default(), &dir.join("BENCH_sweep.json"), &mut progress)
         .unwrap();
 
-    assert_eq!(artifact.completed, 2);
-    assert!(artifact.quarantined.is_empty());
+    assert_eq!(completed(&artifact), 2);
+    assert!(quarantined_ids(&artifact).is_empty());
     // The interrupted attempt was already charged; the resumed run
     // spawned exactly one more child for cell 1.
-    assert_eq!(artifact.meta.attempts_total, 3);
-    assert_eq!(artifact.meta.retries_spent, 1);
+    assert_eq!(meta(&artifact, "attempts_total"), 3.0);
+    assert_eq!(meta(&artifact, "retries_spent"), 1.0);
     let log = String::from_utf8(progress).unwrap();
     assert!(log.contains("folded 1 in-flight cell"), "{log}");
     let _ = std::fs::remove_dir_all(&dir);

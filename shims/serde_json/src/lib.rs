@@ -171,14 +171,21 @@ pub fn to_writer_pretty<W: Write, T: Serialize>(mut writer: W, value: &T) -> Res
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts (real
+/// `serde_json`'s default recursion limit). The parser recurses once per
+/// level, so without a bound a small body of nested `[` overflows the
+/// stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, message: &str) -> Error {
@@ -224,11 +231,21 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_string(&mut self) -> Result<String> {
@@ -455,6 +472,20 @@ mod tests {
         to_writer(&mut buf, &v).unwrap();
         let back: Vec<f32> = from_reader(&buf[..]).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_an_error_not_a_stack_overflow() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "0" + &"}".repeat(depth);
+        assert!(from_str::<Value>(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&objects(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 1_000, 100_000, 500_000] {
+            let err = from_str::<Value>(&"[".repeat(depth)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than"), "{depth}: {err}");
+            assert!(from_str::<Value>(&arrays(depth)).is_err(), "{depth}");
+            assert!(from_str::<Value>(&objects(depth)).is_err(), "{depth}");
+        }
     }
 
     #[test]

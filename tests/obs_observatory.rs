@@ -13,8 +13,8 @@ use simpadv::train::{ProposedTrainer, Trainer};
 use simpadv::{EvalSuite, ModelSpec, TrainConfig};
 use simpadv_data::{SynthConfig, SynthDataset};
 use simpadv_obs::{
-    baseline, build_tree, collapse, compare, diff, parse_collapsed, prefix_totals,
-    render_collapsed, BenchArtifact, CompareOptions, DiffOptions, FlameWeight,
+    build_tree, collapse, compare, diff, logical_digest, parse_collapsed, prefix_totals,
+    render_collapsed, Artifact, DiffOptions, FlameWeight, DEFAULT_WALL_THRESHOLD_PCT,
 };
 use simpadv_trace::{Event, Summary};
 
@@ -72,7 +72,7 @@ fn trace_diff_and_flame_reconcile_with_summarize_on_a_real_run() {
     }
 
     // the digest of the logical projection is thread-invariant too
-    assert_eq!(baseline::logical_digest(&serial), baseline::logical_digest(&parallel));
+    assert_eq!(logical_digest(&serial), logical_digest(&parallel));
 }
 
 /// The committed baseline must self-compare clean, and the gate must
@@ -83,19 +83,20 @@ fn committed_bench_baseline_gates_planted_regressions() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_table1.json");
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("committed baseline {path} must be readable: {e}"));
-    let artifact: BenchArtifact =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("invalid baseline artifact: {e}"));
+    let artifact: Artifact = simpadv_obs::parse_artifact(&text)
+        .unwrap_or_else(|e| panic!("invalid baseline artifact: {e}"));
     assert_eq!(artifact.experiment, "table1");
-    assert_eq!(artifact.schema_version, simpadv_obs::BENCH_SCHEMA_VERSION);
-    assert!(!artifact.trainers.is_empty(), "baseline must carry per-trainer costs");
+    assert_eq!(artifact.schema_version, simpadv_obs::SCHEMA_VERSION);
+    assert!(!artifact.rows.is_empty(), "baseline must carry per-trainer costs");
     assert!(!artifact.accuracies.is_empty(), "baseline must carry final accuracies");
 
-    let clean = compare(&artifact, &artifact, &CompareOptions::default());
+    let clean = compare(&artifact, &artifact, DEFAULT_WALL_THRESHOLD_PCT);
     assert!(clean.passed(), "self-comparison regressed:\n{}", clean.render());
 
     let mut planted = artifact.clone();
-    planted.trainers[0].flops += 1;
-    let caught = compare(&artifact, &planted, &CompareOptions::default());
+    let flops = planted.rows[0].counters.iter_mut().find(|(k, _)| k == "flops");
+    flops.expect("trainer rows carry flops").1 += 1;
+    let caught = compare(&artifact, &planted, DEFAULT_WALL_THRESHOLD_PCT);
     assert!(!caught.passed(), "a planted flops regression must fail the gate");
     assert!(
         caught.regressions.iter().any(|r| r.contains("flops")),
@@ -106,11 +107,12 @@ fn committed_bench_baseline_gates_planted_regressions() {
     // the digest pins the trace's logical projection: corrupting it fails too
     let mut tampered = artifact.clone();
     tampered.trace_digest = format!("{:016x}", 0u64);
-    assert!(!compare(&artifact, &tampered, &CompareOptions::default()).passed());
+    assert!(!compare(&artifact, &tampered, DEFAULT_WALL_THRESHOLD_PCT).passed());
 
     // sanity of the committed per-trainer rows themselves
-    for trainer in &artifact.trainers {
-        assert!(!trainer.trainer.is_empty());
-        assert!(trainer.epochs >= trainer.runs, "every run has at least one epoch span");
+    for trainer in &artifact.rows {
+        assert!(!trainer.name.is_empty());
+        let (runs, epochs) = (trainer.get("runs"), trainer.get("epochs"));
+        assert!(epochs >= runs && runs > Some(0), "every run has at least one epoch span");
     }
 }

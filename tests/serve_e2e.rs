@@ -17,7 +17,7 @@ use simpadv::ModelSpec;
 use simpadv_attacks::{Attack, Pgd};
 use simpadv_data::{SynthConfig, SynthDataset, CLASS_COUNT};
 use simpadv_nn::{Classifier, GradientModel};
-use simpadv_obs::{ServeArtifact, ServeGenerationRow, ServeMeta, ServeScale};
+use simpadv_obs::{Artifact, Row};
 use simpadv_resilience::CheckpointStore;
 use simpadv_runtime::Runtime;
 use simpadv_serve::{
@@ -210,59 +210,42 @@ fn hot_swap_under_concurrent_adversarial_traffic() {
 
     // (4) The artifact records latency percentiles, wall quarantined in
     // meta; the logical section reproduces under self-comparison.
-    let artifact = ServeArtifact {
-        schema_version: simpadv_obs::SERVE_SCHEMA_VERSION,
-        experiment: simpadv_obs::SERVE_EXPERIMENT.to_string(),
-        scale: ServeScale {
-            requests: expected_total,
-            clients: 1,
-            samples: SAMPLES as u64,
-            adv_permille: 500,
-            attack: "pgd".to_string(),
-            batch_max: 4,
-            queue_cap: 64,
-            seed: 21,
-        },
-        served: snapshot.served,
-        skipped_generations: snapshot.skipped_generations,
-        generations: snapshot
-            .generations
-            .iter()
-            .map(|g| ServeGenerationRow {
-                generation: g.generation,
-                traffic: g.traffic.clone(),
-                requests: g.requests,
-                labeled: g.labeled,
-                correct: g.correct,
-            })
-            .collect(),
-        meta: ServeMeta {
-            threads: 2,
-            wall_total_s: 0.0,
-            throughput_rps: 0.0,
-            latency_p50_us: snapshot.latency_us.p50_us,
-            latency_p90_us: snapshot.latency_us.p90_us,
-            latency_p99_us: snapshot.latency_us.p99_us,
-            latency_max_us: snapshot.latency_us.max_us,
-            batch_occupancy_mean: snapshot.batch_occupancy.mean,
-            batch_occupancy_max: snapshot.batch_occupancy.max,
-            rejected: snapshot.rejected,
-            note: ServeArtifact::wall_note(),
-        },
-    };
+    let mut artifact = Artifact::new("serve");
+    artifact.push_scale("requests", expected_total);
+    artifact.push_scale("attack", "pgd");
+    artifact.push_scale("seed", 21);
+    artifact.rows.push(Row::new(
+        "server",
+        &[("served", snapshot.served), ("skipped_generations", snapshot.skipped_generations)],
+    ));
+    for g in &snapshot.generations {
+        artifact.rows.push(Row::new(
+            format!("generation{}/{}", g.generation, g.traffic),
+            &[("requests", g.requests), ("correct", g.correct)],
+        ));
+    }
+    let latency = &snapshot.latency_us;
+    for (name, us) in [
+        ("latency_p50_us", latency.p50_us),
+        ("latency_p90_us", latency.p90_us),
+        ("latency_p99_us", latency.p99_us),
+        ("latency_max_us", latency.max_us),
+    ] {
+        artifact.meta.push(name, us as f64);
+    }
+    artifact.meta.push("rejected", snapshot.rejected as f64);
     assert_eq!(snapshot.latency_us.count, expected_total, "every request must be timed");
     assert!(
-        artifact.meta.latency_p50_us <= artifact.meta.latency_p90_us
-            && artifact.meta.latency_p90_us <= artifact.meta.latency_p99_us
-            && artifact.meta.latency_p99_us <= artifact.meta.latency_max_us,
-        "percentiles must be ordered: {:?}",
-        artifact.meta
+        latency.p50_us <= latency.p90_us
+            && latency.p90_us <= latency.p99_us
+            && latency.p99_us <= latency.max_us,
+        "percentiles must be ordered: {latency:?}"
     );
     let path = dir.join("BENCH_serve.json");
     simpadv_resilience::write_json_atomic(&path, &artifact).unwrap();
-    let back: ServeArtifact =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let back: Artifact =
+        simpadv_obs::parse_artifact(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(back, artifact, "artifact must round-trip exactly");
-    let report = simpadv_obs::compare_serve(&artifact, &back);
+    let report = simpadv_obs::compare(&artifact, &back, simpadv_obs::DEFAULT_WALL_THRESHOLD_PCT);
     assert!(report.passed(), "self-comparison must pass: {:?}", report.regressions);
 }
