@@ -43,6 +43,9 @@
 //! assert!(x_adv.sub(&x).norm_linf() <= 0.1 + 1e-6);
 //! ```
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod attack;
 mod bim;
 mod fgsm;

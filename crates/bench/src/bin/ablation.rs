@@ -2,6 +2,8 @@
 //! (per-epoch step size, reset period) — the design-choice analysis
 //! DESIGN.md lists beyond the paper's own exhibits.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv::experiments::ablation::{self, AblationResult};
 use simpadv_bench::{baseline::run_with_baseline, write_artifact, BenchOpts};
 use simpadv_data::SynthDataset;

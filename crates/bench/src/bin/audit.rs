@@ -2,6 +2,8 @@
 //! vanilla model) — the executable version of the paper's claim that
 //! adversarial training does not rely on obfuscated gradients.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv::train::{ProposedTrainer, Trainer, VanillaTrainer};
 use simpadv::{audit_masking, MaskingReport, ModelSpec};
 use simpadv_bench::{baseline::run_with_baseline, write_artifact, BenchOpts};

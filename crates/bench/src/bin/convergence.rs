@@ -1,6 +1,8 @@
 //! Regenerates the convergence-dynamics extension: BIM(10) robustness vs
 //! training epochs for FGSM-Adv, the proposed method and BIM(10)-Adv.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv::experiments::convergence::{self, ConvergenceResult};
 use simpadv_bench::{baseline::run_with_baseline, write_artifact, BenchOpts};
 use simpadv_data::SynthDataset;

@@ -1,6 +1,8 @@
 //! Regenerates Figure 2: test accuracy after each intermediate BIM
 //! iterate, for the four probe classifiers on both synthetic datasets.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv::experiments::fig2::{self, Fig2Result};
 use simpadv_bench::{baseline::run_with_baseline, write_artifact, BenchOpts};
 use simpadv_data::SynthDataset;

@@ -11,8 +11,11 @@
 //!     --full --repeat 5 --flame-dir results/flame
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv_bench::kernels::{run_sweep, write_outputs, KernelsOpts};
 
+#[expect(clippy::disallowed_methods, reason = "R12: bench exit code is the CI interface")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = KernelsOpts::from_args(&args);

@@ -3,6 +3,8 @@
 //! thread counts, cross-checking that every thread count produces
 //! bitwise-identical numerics. Writes `results/runtime_scaling.json`.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use serde::Serialize;
 use simpadv::experiments::ExperimentScale;
 use simpadv::train::{ProposedTrainer, Trainer};

@@ -1,6 +1,8 @@
 //! Regenerates the security-curve extension: accuracy vs BIM(10) budget
 //! for Vanilla / FGSM-Adv / Proposed / BIM(10)-Adv.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv::experiments::security_curve::{self, SecurityCurveResult};
 use simpadv_bench::{baseline::run_with_baseline, write_artifact, BenchOpts};
 use simpadv_data::SynthDataset;

@@ -13,6 +13,8 @@
 //! throughput / batch occupancy / backpressure rejections quarantined
 //! in `meta`.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv_attacks::{parallel::craft_parallel, Attack, Bim, Pgd};
 use simpadv_data::{SynthConfig, SynthDataset, CLASS_COUNT};
 use simpadv_nn::GradientModel;
@@ -136,6 +138,7 @@ fn is_adversarial(i: usize, permille: u64) -> bool {
     ((i + 1) * permille) / 1000 > (i * permille) / 1000
 }
 
+#[expect(clippy::disallowed_methods, reason = "R12: bench exit code is the CI interface")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {

@@ -2,6 +2,8 @@
 //! Original / FGSM / BIM(10) / BIM(30) inputs for both datasets, plus
 //! training cost per epoch.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv::experiments::table1::{self, Table1Result};
 use simpadv_bench::{baseline::run_with_baseline, write_artifact, BenchOpts};
 

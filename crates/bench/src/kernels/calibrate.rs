@@ -6,6 +6,7 @@
 //! before any trace sink exists, and the measured numbers flow only
 //! into the artifact's `meta` section — never into the logical stream.
 
+#[expect(clippy::disallowed_types, reason = "R10: timing loop; readings go to meta only")]
 use std::time::Instant;
 
 /// Ceiling on calibrated iterations per timed repeat; a kernel fast
@@ -13,6 +14,7 @@ use std::time::Instant;
 const MAX_ITERS: u64 = 1 << 24;
 
 /// Seconds per iteration over `iters` back-to-back calls of `f`.
+#[expect(clippy::disallowed_types, reason = "R10: timing loop; readings go to meta only")]
 pub(crate) fn time_iters(f: &mut dyn FnMut(), iters: u64) -> f64 {
     let iters = iters.max(1);
     let start = Instant::now();

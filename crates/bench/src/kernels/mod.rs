@@ -237,6 +237,7 @@ impl Default for KernelsOpts {
 impl KernelsOpts {
     /// Parses the kernel lab's flags; unknown flags or bad values abort
     /// with a usage message (mirroring [`crate::BenchOpts::from_args`]).
+    #[expect(clippy::disallowed_methods, reason = "R12: usage errors exit 2")]
     pub fn from_args(args: &[String]) -> Self {
         let mut opts = KernelsOpts::default();
         let mut it = args.iter();

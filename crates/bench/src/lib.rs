@@ -18,6 +18,8 @@
 //! Every artifact is one `simpadv_obs::Artifact`, gated by
 //! `simpadv-cli bench compare`.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv::experiments::ExperimentScale;
 use simpadv_trace::TraceFormat;
 
@@ -86,6 +88,7 @@ impl BenchOpts {
     /// `--checkpoint-dir DIR`, `--checkpoint-every N`, `--resume`,
     /// `--baseline` and `--repeat N`. Unknown flags or missing/invalid
     /// values abort with a usage message.
+    #[expect(clippy::disallowed_methods, reason = "R12: usage errors exit 2")]
     pub fn from_args(args: &[String]) -> Self {
         let mut opts = BenchOpts {
             scale: ExperimentScale::quick(),
@@ -178,6 +181,7 @@ impl BenchOpts {
     /// ambient checkpoint policy (when `--checkpoint-dir` was given) that
     /// every `Trainer::train` call inside the binary picks up.
     /// Pair with [`BenchOpts::finish`] before exiting.
+    #[expect(clippy::disallowed_methods, reason = "R12: usage errors exit 2")]
     pub fn apply(&self) {
         if let Some(n) = self.threads {
             simpadv_runtime::set_global_threads(n);
@@ -257,6 +261,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: plants a torn artifact on purpose")]
     fn verify_artifact_reports_truncation_as_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("simpadv-bench-verify-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");

@@ -158,12 +158,6 @@ COMMANDS
             experiment shapes; logical counters are gateable, wall
             numbers land in meta (also: cargo run --release -p
             simpadv-bench --bin kernels)
-  lint [--root DIR] [--rules SPEC]
-            run the workspace invariant wall (rules R1-R12 syntactic,
-            S1-S5 semantic; see `simpadv-lint --list`); any diagnostic
-            is an error
-  lint graph [--root DIR]
-            print the workspace call graph in Graphviz DOT format
   help
 
 GLOBAL OPTIONS
@@ -183,7 +177,7 @@ GLOBAL OPTIONS
 /// Returns [`CliError`] on unknown commands, bad options or I/O failures.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     apply_threads(args)?;
-    if !matches!(args.command.as_str(), "trace" | "bench" | "lint" | "sweep") {
+    if !matches!(args.command.as_str(), "trace" | "bench" | "sweep") {
         args.expect_no_positionals()?;
     }
     let tracing = apply_trace(args)?;
@@ -196,7 +190,6 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "sweep" => cmd_sweep(args, out),
         "trace" => cmd_trace(args, out),
         "bench" => cmd_bench(args, out),
-        "lint" => cmd_lint(args, out),
         "help" => writeln!(out, "{USAGE}").map_err(CliError::from),
         other => Err(CliError(format!("unknown command '{other}'\n\n{USAGE}"))),
     };
@@ -1037,51 +1030,6 @@ fn cmd_bench_kernels<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError>
     Ok(())
 }
 
-/// `lint` — the workspace invariant wall, and `lint graph` — the DOT
-/// call-graph export (the same analyses `simpadv-lint` exposes, wired
-/// into the umbrella CLI for one-command local checks).
-fn cmd_lint<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["threads", "trace", "trace-format", "root", "rules"])?;
-    if args.positional(1).is_some() {
-        return Err(CliError("usage: lint [graph] [--root DIR] [--rules SPEC]".into()));
-    }
-    let root = std::path::PathBuf::from(args.get_or("root", "."));
-    let ws = simpadv_lint::collect_files(&root)
-        .map_err(|e| CliError(format!("cannot walk {}: {e}", root.display())))?;
-    match args.positional(0) {
-        Some("graph") => {
-            let model = simpadv_lint::semrules::SemanticModel::build(&ws);
-            write!(out, "{}", model.graph.to_dot())?;
-            Ok(())
-        }
-        None => {
-            let spec = args.require("rules").ok();
-            if let Some(s) = spec {
-                simpadv_lint::rules::expand_spec(s).map_err(CliError)?;
-            }
-            let config_path = root.join("lint.toml");
-            let cfg = if config_path.exists() {
-                let src = std::fs::read_to_string(&config_path)
-                    .map_err(|e| CliError(format!("cannot read {}: {e}", config_path.display())))?;
-                simpadv_lint::config::parse(&src).map_err(|e| CliError(e.to_string()))?
-            } else {
-                simpadv_lint::config::Config::default()
-            };
-            let diags = simpadv_lint::run(&ws, &cfg, spec);
-            for d in &diags {
-                write!(out, "{}", d.render())?;
-            }
-            if diags.is_empty() {
-                writeln!(out, "lint: {} file(s) analyzed, clean", ws.files.len())?;
-                Ok(())
-            } else {
-                Err(CliError(format!("lint: {} diagnostic(s)", diags.len())))
-            }
-        }
-        Some(other) => Err(CliError(format!("unknown lint action '{other}' (graph)"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1105,18 +1053,6 @@ mod tests {
     fn unknown_command_fails_with_usage() {
         let err = run_line("frobnicate").unwrap_err();
         assert!(err.to_string().contains("USAGE"));
-    }
-
-    #[test]
-    fn lint_verb_runs_the_wall_and_exports_the_graph() {
-        // Tests run from the crate directory; the workspace root is two up.
-        let text = run_line("lint --root ../..").unwrap();
-        assert!(text.contains("clean"), "wall output: {text}");
-        let dot = run_line("lint graph --root ../..").unwrap();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("->"));
-        let err = run_line("lint prune --root ../..").unwrap_err();
-        assert!(err.to_string().contains("unknown lint action"));
     }
 
     #[test]
@@ -1305,6 +1241,7 @@ mod tests {
         .join("\n")
     }
 
+    #[expect(clippy::disallowed_methods, reason = "R9: test fixture files")]
     fn write_temp(name: &str, content: &str) -> String {
         let dir = std::env::temp_dir().join("simpadv-cli-obs-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1588,6 +1525,7 @@ mod tests {
     /// Writes a two-process toy campaign trace dir: an orchestrator
     /// incarnation whose attempt span anchors `c000.attempt001.jsonl`,
     /// and that cell trace rooted at the attempt's remote context.
+    #[expect(clippy::disallowed_methods, reason = "R9: test fixture files")]
     fn toy_campaign_dir(name: &str) -> String {
         use simpadv_trace::EventKind::{SpanClose, SpanOpen};
         use simpadv_trace::{Event, FieldValue, TraceContext};
@@ -1677,6 +1615,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: test fixture files")]
     fn sweep_trace_dir_is_exclusive_with_trace_and_slots_advance() {
         let dir = std::env::temp_dir().join("simpadv-cli-trace-dir-flags");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1697,6 +1636,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: test fixtures, one deliberately torn")]
     fn bench_compare_all_self_gates_every_artifact() {
         let dir = std::env::temp_dir().join("simpadv-cli-compare-all");
         let _ = std::fs::remove_dir_all(&dir);

@@ -12,6 +12,8 @@
 //! simpadv-cli attack   --model model.json --dataset mnist --attack bim10 --index 3
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 mod args;
 mod checkpoint;
 mod commands;

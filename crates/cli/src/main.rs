@@ -1,8 +1,11 @@
 //! The `simpadv-cli` command-line tool. All logic lives in the library; this
 //! shell parses `argv`, dispatches, and maps errors to exit codes.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: the terminal is its interface")]
+
 use simpadv_cli::{run, Args};
 
+#[expect(clippy::disallowed_methods, reason = "R12: the CLI boundary owns exit codes")]
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match Args::parse(argv) {

@@ -14,6 +14,7 @@ fn cli() -> &'static str {
 }
 
 /// Runs the CLI binary, returning (success, combined stdout+stderr).
+#[expect(clippy::disallowed_types, reason = "R12: drives the CLI binary as a child")]
 fn run_cli(args: &[&str]) -> (bool, String) {
     let out = std::process::Command::new(cli()).args(args).output().expect("spawn simpadv-cli");
     let text =

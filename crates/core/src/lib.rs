@@ -40,6 +40,9 @@
 //! println!("{eval}");
 //! ```
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod chart;
 mod config;
 pub mod contracts;

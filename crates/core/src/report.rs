@@ -97,6 +97,7 @@ impl TrainReport {
     /// # Panics
     ///
     /// Panics on an empty report.
+    #[expect(clippy::panic, reason = "R1: documented `# Panics` contract")]
     pub fn final_loss(&self) -> f32 {
         self.epoch_losses.last().copied().unwrap_or_else(|| panic!("final_loss on an empty report"))
     }

@@ -65,6 +65,7 @@ pub trait Trainer {
     /// Panics when the ambient policy is active and persistence fails —
     /// the infallible signature predates checkpointing and is kept for
     /// the experiment harnesses.
+    #[expect(clippy::panic, reason = "R1: documented `# Panics` contract")]
     fn train(&mut self, clf: &mut Classifier, data: &Dataset, config: &TrainConfig) -> TrainReport {
         state::session_from_policy(&self.id())
             .and_then(|mut session| self.train_resumable(clf, data, config, &mut session))

@@ -28,6 +28,9 @@
 //! assert!(data.images().as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
 //! ```
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod ascii;
 mod dataset;
 mod fashion;

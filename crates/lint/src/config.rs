@@ -1,14 +1,8 @@
-//! `lint.toml`: allowlist entries plus the S-rule declaration tables.
+//! `lint.toml`: the S-rule declaration tables.
 //!
 //! The file is a sequence of tables:
 //!
 //! ```toml
-//! [[allow]]                 # intentional exception to a rule
-//! rule = "R1"
-//! path = "crates/nn/src/pool.rs"
-//! item = "expect"           # optional: restrict to one offending item
-//! reason = "backward() has a documented forward-first contract"
-//!
 //! [[taint]]                 # S2 determinism sink declaration
 //! path = "crates/trace/src/clock.rs"
 //! item = "tick_forward"
@@ -20,23 +14,12 @@
 //! reason = "the one sanctioned elementwise += loop"
 //! ```
 //!
-//! `path` is required everywhere; `reason` is required too so every
-//! declaration carries its justification into review. The parser covers
-//! exactly this subset of TOML (comments, `[[name]]` headers, and
-//! `key = "string"` pairs) — anything else is a configuration error.
-
-/// One allowlist entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
-    /// Rule id, e.g. `R1`.
-    pub rule: String,
-    /// Workspace-relative path (forward slashes) the entry applies to.
-    pub path: String,
-    /// Optional item filter: function name or offending identifier.
-    pub item: Option<String>,
-    /// Human justification (required).
-    pub reason: String,
-}
+//! Every key is required, `reason` included, so each declaration carries
+//! its justification into review. The parser covers exactly this subset
+//! of TOML (comments, `[[name]]` headers, and `key = "string"` pairs) —
+//! anything else is a configuration error. Exceptions to a rule are not
+//! declared here: they are `#[expect(clippy::..., reason = "...")]`
+//! attributes on the item, which S1 reads as well.
 
 /// One S2 sink declaration: a function whose inputs must stay free of
 /// determinism taint.
@@ -65,22 +48,10 @@ pub struct KernelEntry {
 /// Parsed configuration.
 #[derive(Debug, Default)]
 pub struct Config {
-    /// All allowlist entries.
-    pub allows: Vec<AllowEntry>,
     /// S2 determinism sinks.
     pub taints: Vec<TaintSink>,
     /// S4 canonical kernels.
     pub kernels: Vec<KernelEntry>,
-}
-
-impl Config {
-    /// Whether a diagnostic for `rule` at `path` (with offending `item`)
-    /// is allowlisted.
-    pub fn is_allowed(&self, rule: &str, path: &str, item: &str) -> bool {
-        self.allows.iter().any(|a| {
-            a.rule == rule && a.path == path && a.item.as_deref().is_none_or(|it| it == item)
-        })
-    }
 }
 
 /// Errors from [`parse`].
@@ -107,7 +78,6 @@ fn err(line: usize, message: impl Into<String>) -> ConfigError {
 /// Which table a partial entry is being collected for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Section {
-    Allow,
     Taint,
     Kernel,
 }
@@ -115,7 +85,6 @@ enum Section {
 impl Section {
     fn name(self) -> &'static str {
         match self {
-            Section::Allow => "allow",
             Section::Taint => "taint",
             Section::Kernel => "kernel",
         }
@@ -127,7 +96,6 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
     struct Partial {
         section: Section,
         line: usize,
-        rule: Option<String>,
         path: Option<String>,
         item: Option<String>,
         reason: Option<String>,
@@ -146,21 +114,7 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
             )
         })?;
         match p.section {
-            Section::Allow => {
-                let Some(rule) = p.rule else {
-                    return Err(err(p.line, "[[allow]] missing `rule`"));
-                };
-                cfg.allows.push(AllowEntry {
-                    rule,
-                    path: need(p.path, "path")?,
-                    item: p.item,
-                    reason,
-                });
-            }
             Section::Taint => {
-                if p.rule.is_some() {
-                    return Err(err(p.line, "`rule` is not a [[taint]] key"));
-                }
                 cfg.taints.push(TaintSink {
                     path: need(p.path, "path")?,
                     item: need(p.item, "item")?,
@@ -168,9 +122,6 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
                 });
             }
             Section::Kernel => {
-                if p.rule.is_some() {
-                    return Err(err(p.line, "`rule` is not a [[kernel]] key"));
-                }
                 cfg.kernels.push(KernelEntry {
                     path: need(p.path, "path")?,
                     item: need(p.item, "item")?,
@@ -190,7 +141,6 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
             continue;
         }
         let section = match line {
-            "[[allow]]" => Some(Section::Allow),
             "[[taint]]" => Some(Section::Taint),
             "[[kernel]]" => Some(Section::Kernel),
             _ => None,
@@ -199,22 +149,15 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
             if let Some(p) = current.take() {
                 finish(&mut cfg, p)?;
             }
-            current = Some(Partial {
-                section,
-                line: lineno,
-                rule: None,
-                path: None,
-                item: None,
-                reason: None,
-            });
+            current = Some(Partial { section, line: lineno, path: None, item: None, reason: None });
             continue;
         }
         if line.starts_with('[') {
             return Err(err(
                 lineno,
                 format!(
-                    "unsupported section `{line}` (only [[allow]], [[taint]] and \
-                     [[kernel]] are recognized)"
+                    "unsupported section `{line}` (only [[taint]] and [[kernel]] are \
+                     recognized)"
                 ),
             ));
         }
@@ -230,7 +173,6 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
             return Err(err(lineno, format!("`{key}` outside of a table header")));
         };
         match key {
-            "rule" => p.rule = Some(value.to_string()),
             "path" => p.path = Some(value.to_string()),
             "item" => p.item = Some(value.to_string()),
             "reason" => p.reason = Some(value.to_string()),
@@ -251,32 +193,6 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_entries_and_matches() {
-        let cfg = parse(
-            r#"
-# exceptions
-[[allow]]
-rule = "R1"
-path = "crates/nn/src/pool.rs"
-item = "expect"
-reason = "documented forward-first contract"
-
-[[allow]]
-rule = "R2"
-path = "crates/cli/src/args.rs"
-reason = "binary crate help text"
-"#,
-        )
-        .expect("valid config");
-        assert_eq!(cfg.allows.len(), 2);
-        assert!(cfg.is_allowed("R1", "crates/nn/src/pool.rs", "expect"));
-        assert!(!cfg.is_allowed("R1", "crates/nn/src/pool.rs", "unwrap"));
-        // No `item` filter: any item matches.
-        assert!(cfg.is_allowed("R2", "crates/cli/src/args.rs", "whatever"));
-        assert!(!cfg.is_allowed("R2", "crates/cli/src/other.rs", "whatever"));
-    }
 
     #[test]
     fn parses_taint_and_kernel_tables() {
@@ -310,29 +226,33 @@ reason = "sanctioned elementwise accumulation"
     }
 
     #[test]
+    fn allow_tables_are_gone() {
+        let e = parse("[[allow]]\nrule = \"R1\"\npath = \"x.rs\"\nreason = \"r\"\n").unwrap_err();
+        assert!(e.message.contains("unsupported section"));
+    }
+
+    #[test]
     fn missing_reason_is_an_error() {
-        let e = parse("[[allow]]\nrule = \"R1\"\npath = \"x.rs\"\n").unwrap_err();
-        assert!(e.message.contains("reason"));
         let e = parse("[[kernel]]\npath = \"x.rs\"\nitem = \"f\"\n").unwrap_err();
         assert!(e.message.contains("reason"));
     }
 
     #[test]
     fn unknown_key_is_an_error() {
-        let e = parse("[[allow]]\nrule = \"R1\"\npath = \"x\"\nreason = \"r\"\nbogus = \"v\"\n")
+        let e = parse("[[kernel]]\npath = \"x\"\nitem = \"f\"\nreason = \"r\"\nbogus = \"v\"\n")
             .unwrap_err();
         assert!(e.message.contains("bogus"));
     }
 
     #[test]
     fn unquoted_value_is_an_error() {
-        let e = parse("[[allow]]\nrule = R1\n").unwrap_err();
+        let e = parse("[[taint]]\npath = x.rs\n").unwrap_err();
         assert!(e.message.contains("double-quoted"));
     }
 
     #[test]
     fn empty_config_is_fine() {
         let cfg = parse("# nothing here\n").expect("empty ok");
-        assert!(cfg.allows.is_empty() && cfg.taints.is_empty() && cfg.kernels.is_empty());
+        assert!(cfg.taints.is_empty() && cfg.kernels.is_empty());
     }
 }

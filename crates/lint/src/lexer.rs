@@ -3,8 +3,8 @@
 //! `syn` is not available in this build environment, so the analyzer works
 //! from a hand-rolled token stream. The lexer's contract is deliberately
 //! narrower than rustc's: it must (a) never confuse comment/string content
-//! with code, (b) preserve doc comments as first-class tokens (rule R2
-//! inspects them), and (c) report accurate line numbers for diagnostics.
+//! with code, (b) keep doc comments apart from code tokens, and (c)
+//! report accurate line numbers for diagnostics.
 //! Everything else — precise number grammar, multi-character operators —
 //! is left to the token consumers, which match on adjacent single-character
 //! punctuation instead.

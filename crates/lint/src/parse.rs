@@ -1,8 +1,8 @@
 //! Structure extraction over the token stream: function records, outer
-//! docs/attributes, `#[cfg(test)]` regions, and delimiter matching.
+//! attributes, `#[cfg(test)]` regions, and delimiter matching.
 //!
 //! This is not a full Rust parser. It recognizes exactly the item shapes
-//! the rules need — functions with their docs, attributes, visibility,
+//! the rules need — functions with their attributes, visibility,
 //! parameter names, and body span — and tracks which token spans live
 //! inside test-only code. Unrecognized constructs degrade gracefully: the
 //! parser skips them without losing delimiter balance.
@@ -19,8 +19,6 @@ pub struct FunctionRecord {
     pub line: u32,
     /// `true` for `pub` / `pub(...)` functions.
     pub is_pub: bool,
-    /// Outer `///` docs, joined with newlines.
-    pub doc: String,
     /// Flattened outer attributes, e.g. `"cfg(test)"`, `"test"`,
     /// `"inline"`.
     pub attrs: Vec<String>,
@@ -76,23 +74,6 @@ impl ParsedFile {
     /// and followed by `(`.
     pub fn is_method_call(&self, i: usize) -> bool {
         i > 0 && self.is_punct(i - 1, '.') && self.is_open(i + 1, '(')
-    }
-
-    /// Walks enclosing `(`-groups from token `i` outward, yielding for each
-    /// the identifier immediately before the `(` — i.e. the call the token
-    /// is an argument of.
-    pub fn enclosing_calls(&self, i: usize) -> Vec<&str> {
-        let mut out = Vec::new();
-        let mut p = self.parent.get(i).copied().unwrap_or(usize::MAX);
-        while p != usize::MAX {
-            if self.is_open(p, '(') && p > 0 {
-                if let Some(name) = self.ident(p - 1) {
-                    out.push(name);
-                }
-            }
-            p = self.parent.get(p).copied().unwrap_or(usize::MAX);
-        }
-        out
     }
 }
 
@@ -156,7 +137,6 @@ pub fn parse(tokens: Vec<Token>) -> ParsedFile {
     // and its body brace is still ahead.
     let mut armed_test = false;
 
-    let mut pending_docs: Vec<String> = Vec::new();
     let mut pending_attrs: Vec<String> = Vec::new();
     let mut pending_vis = false;
 
@@ -165,11 +145,7 @@ pub fn parse(tokens: Vec<Token>) -> ParsedFile {
         let in_test_now = brace_test.iter().any(|&b| b);
         test_mask[i] = in_test_now;
         match &tokens[i].kind {
-            TokenKind::DocComment { inner: false, text } => {
-                pending_docs.push(text.clone());
-                i += 1;
-            }
-            TokenKind::DocComment { inner: true, .. } => {
+            TokenKind::DocComment { .. } => {
                 i += 1;
             }
             TokenKind::Punct('#') => {
@@ -288,13 +264,11 @@ pub fn parse(tokens: Vec<Token>) -> ParsedFile {
                     name,
                     line: fn_line,
                     is_pub: pending_vis,
-                    doc: pending_docs.join("\n"),
                     attrs: std::mem::take(&mut pending_attrs),
                     params,
                     body: body.clone(),
                     in_test: in_test_now || fn_is_test,
                 });
-                pending_docs.clear();
                 pending_vis = false;
                 if fn_is_test {
                     armed_test = true;
@@ -310,7 +284,6 @@ pub fn parse(tokens: Vec<Token>) -> ParsedFile {
                 if pending_attrs.iter().any(|a| attr_is_test(a)) {
                     armed_test = true;
                 }
-                pending_docs.clear();
                 pending_attrs.clear();
                 pending_vis = false;
                 i += 1;
@@ -318,7 +291,6 @@ pub fn parse(tokens: Vec<Token>) -> ParsedFile {
             TokenKind::Ident(id) if id == "use" => {
                 // Skip to the terminating `;` so `use foo::{...}` braces
                 // don't consume an armed test flag.
-                pending_docs.clear();
                 pending_attrs.clear();
                 pending_vis = false;
                 let mut j = i + 1;
@@ -349,7 +321,6 @@ pub fn parse(tokens: Vec<Token>) -> ParsedFile {
                 i += 1;
             }
             TokenKind::Punct(';') => {
-                pending_docs.clear();
                 pending_attrs.clear();
                 pending_vis = false;
                 i += 1;
@@ -383,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn finds_functions_with_docs_and_visibility() {
+    fn finds_functions_with_visibility_and_params() {
         let src = r#"
 /// Does a thing.
 ///
@@ -399,7 +370,6 @@ fn helper() {}
         let f = &p.functions[0];
         assert_eq!(f.name, "thing");
         assert!(f.is_pub);
-        assert!(f.doc.contains("# Panics"));
         assert_eq!(f.params, vec!["x", "label"]);
         assert!(!f.in_test);
         let h = &p.functions[1];
@@ -474,15 +444,6 @@ mod tests {
         let unwrap_idx =
             (0..p.tokens.len()).find(|&i| p.ident(i) == Some("unwrap")).expect("unwrap token");
         assert!(p.test_mask[unwrap_idx]);
-    }
-
-    #[test]
-    fn enclosing_calls_sees_call_chain() {
-        let src = "fn f() { a.unwrap_or_else(|e| panic!(\"{e}\")); }";
-        let p = parse_src(src);
-        let panic_idx =
-            (0..p.tokens.len()).find(|&i| p.ident(i) == Some("panic")).expect("panic token");
-        assert!(p.enclosing_calls(panic_idx).contains(&"unwrap_or_else"));
     }
 
     #[test]

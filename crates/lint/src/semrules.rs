@@ -1,6 +1,6 @@
 //! The five semantic rules (S1–S5).
 //!
-//! Where R1–R10 are per-file and token-local, the S-rules reason over
+//! Where the R-rules are per-file and token-local, the S-rules reason over
 //! the whole workspace at once: a symbol table ([`crate::symbols`]), a
 //! call graph ([`crate::callgraph`]), and a taint lattice
 //! ([`crate::flow`]) let them follow a property across function and
@@ -40,7 +40,7 @@ impl SemanticModel {
 pub struct SemanticCtx<'a> {
     /// The parsed workspace.
     pub ws: &'a Workspace,
-    /// `lint.toml` (allowlist + taint/kernel declarations).
+    /// `lint.toml` (taint/kernel declarations).
     pub cfg: &'a Config,
     /// The semantic model.
     pub model: &'a SemanticModel,
@@ -93,8 +93,17 @@ fn is_close(p: &ParsedFile, i: usize, c: char) -> bool {
 // S1: panic reachability
 // ---------------------------------------------------------------------
 
-/// Collects functions in panic-free crates whose bodies contain an
-/// unsanctioned panic site (same detection as R1, minus the allowlist).
+/// Whether `attrs` holds an `#[expect(...)]` naming `lint`. That
+/// attribute is how a panic site is sanctioned, for clippy and S1 alike.
+fn expects_lint(attrs: &[String], lint: &str) -> bool {
+    attrs.iter().any(|a| {
+        a.strip_prefix("expect(").is_some_and(|args| args.split([',', ')']).any(|t| t == lint))
+    })
+}
+
+/// Collects functions in panic-free crates whose bodies contain a panic
+/// site their own `#[expect(clippy::unwrap_used | expect_used | panic)]`
+/// does not sanction.
 fn panic_site_fns(ctx: &SemanticCtx) -> BTreeSet<FnId> {
     let mut sites = BTreeSet::new();
     for (id, f) in ctx.fns().iter().enumerate() {
@@ -102,29 +111,24 @@ fn panic_site_fns(ctx: &SemanticCtx) -> BTreeSet<FnId> {
             continue;
         }
         let p = ctx.parsed(f);
-        for i in f.body.clone() {
-            let hit = match p.ident(i) {
-                Some(m @ ("unwrap" | "expect")) if p.is_method_call(i) => {
-                    !ctx.cfg.is_allowed("R1", &f.path, m)
-                }
-                Some("panic") if p.is_punct(i + 1, '!') => {
-                    !p.enclosing_calls(i).contains(&"unwrap_or_else")
-                        && !ctx.cfg.is_allowed("R1", &f.path, "panic")
-                }
-                _ => false,
-            };
-            if hit {
-                sites.insert(id as FnId);
-                break;
-            }
+        let attrs = &p.functions[f.func].attrs;
+        let hit = f.body.clone().any(|i| match p.ident(i) {
+            Some("unwrap") if p.is_method_call(i) => !expects_lint(attrs, "clippy::unwrap_used"),
+            Some("expect") if p.is_method_call(i) => !expects_lint(attrs, "clippy::expect_used"),
+            Some("panic") if p.is_punct(i + 1, '!') => !expects_lint(attrs, "clippy::panic"),
+            _ => false,
+        });
+        if hit {
+            sites.insert(id as FnId);
         }
     }
     sites
 }
 
 /// S1: a public API of a panic-free crate must not transitively reach an
-/// unsanctioned panic site. Direct sites in the same function are R1's
-/// job; S1 fires only on chains of length ≥ 2, and carries the chain.
+/// unsanctioned panic site. Direct sites in the same function are
+/// clippy's job (R1); S1 fires only on chains of length ≥ 2, and carries
+/// the chain.
 pub fn s1_panic_reachability(ctx: &SemanticCtx) -> Vec<Diagnostic> {
     let sites = panic_site_fns(ctx);
     let mut out = Vec::new();
@@ -152,8 +156,9 @@ pub fn s1_panic_reachability(ctx: &SemanticCtx) -> Vec<Diagnostic> {
                 &f.name,
                 format!(
                     "public `{}` can reach an unsanctioned panic site in `{site_label}` \
-                     ({} calls deep); propagate the error or route through the \
-                     `try_*().unwrap_or_else(|e| panic!(\"{{e}}\"))` wrapper",
+                     ({} calls deep); propagate the error, or route through a \
+                     `try_*().unwrap_or_else(|e| panic!(\"{{e}}\"))` wrapper that \
+                     carries `#[expect(clippy::panic, reason = ...)]`",
                     f.name,
                     path.len() - 1
                 ),
@@ -764,16 +769,24 @@ fn deep(x: Option<f32>) -> f32 { x.unwrap() }
     }
 
     #[test]
-    fn s1_skips_direct_sites_and_sanctioned_wrappers() {
+    fn s1_skips_direct_sites_and_sites_sanctioned_by_expect() {
         let files = [(
             "crates/tensor/src/a.rs",
             r#"
 pub fn direct(x: Option<f32>) -> f32 { x.unwrap() }
-pub fn wrapped(&self) -> f32 { self.try_get().unwrap_or_else(|e| panic!("{e}")) }
+pub fn via_wrapper(&self) -> f32 { self.wrapped() }
+#[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
+fn wrapped(&self) -> f32 { self.try_get().unwrap_or_else(|e| panic!("{e}")) }
+pub fn via_mislabelled(x: Option<f32>) -> f32 { mislabelled(x) }
+#[expect(clippy::expect_used, reason = "names the wrong lint")]
+fn mislabelled(x: Option<f32>) -> f32 { x.unwrap() }
 "#,
         )];
-        // `direct` is R1's job (chain length 1); `wrapped` is sanctioned.
-        assert!(ctx_run(s1_panic_reachability, &files, "").is_empty());
+        // `direct` is clippy's job (chain length 1); `wrapped` carries the
+        // matching expectation, `mislabelled` does not.
+        let d = ctx_run(s1_panic_reachability, &files, "");
+        assert_eq!(d.len(), 1, "diags: {d:?}");
+        assert_eq!(d[0].item, "via_mislabelled");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! End-to-end tests: the analyzer over real directory trees.
 //!
-//! Two layers: a synthetic fixture workspace exercising the walker +
-//! allowlist + rule pipeline, and a self-check that the actual repository
-//! is clean — the latter is the "lint wall": any rule violation introduced
-//! anywhere in the workspace fails this test.
+//! Two layers: a synthetic fixture workspace exercising the walker + rule
+//! pipeline, and a self-check that the actual repository is clean — the
+//! latter is the "lint wall": any rule violation introduced anywhere in
+//! the workspace fails this test. The last tests keep the analyzer and
+//! the clippy half of the wall (root `clippy.toml`) in step.
 
+use simpadv_lint::rules::PANIC_FREE_CRATES;
 use simpadv_lint::{collect_files, config, run, Workspace};
 use std::path::{Path, PathBuf};
 
@@ -24,6 +26,7 @@ impl Scratch {
         Scratch { root }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "R9: scratch fixture files")]
     fn write(&self, rel: &str, content: &str) {
         let path = self.root.join(rel);
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
@@ -46,54 +49,31 @@ fn repo_root() -> &'static Path {
 fn fixture_workspace_pipeline() {
     let s = Scratch::new("fixture");
     s.write(
-        "crates/tensor/src/ops.rs",
-        r#"
-/// Documented and clean.
-pub fn fine(x: f32) -> f32 { x + 1.0 }
-
-pub fn bad(x: Option<f32>) -> f32 { x.unwrap() }
-"#,
-    );
-    s.write(
         "crates/attacks/src/fgsm.rs",
         r#"
 impl Fgsm {
     pub fn new(epsilon: f32) -> Self { Self { epsilon } }
+    fn step(&self, d: &T) -> T { d.clamp(-self.epsilon, self.epsilon) }
 }
 "#,
     );
     s.write(
-        "crates/nn/src/pool.rs",
-        "fn backward(&self) { self.cache.expect(\"forward first\"); }",
+        "crates/attacks/src/projection.rs",
+        "pub fn project_ball(d: &T, eps: f32) -> T { d.clamp(-eps, eps) }",
     );
-    // target/ must be skipped even when it contains .rs files.
-    s.write("target/debug/build/gen.rs", "fn g() { x.unwrap(); }");
+    // target/ and perfbench/ must be skipped even when they hold .rs files.
+    s.write("target/debug/build/gen.rs", "fn g(eps: f32) { d.clamp(-eps, eps); }");
+    s.write("perfbench/src/main.rs", "fn g(eps: f32) { d.clamp(-eps, eps); }");
 
     let ws = collect_files(&s.root).expect("walk fixture");
-    assert_eq!(ws.files.len(), 3, "target/ must not be walked");
+    assert_eq!(ws.files.len(), 2, "target/ and perfbench/ must not be walked");
 
-    // Without an allowlist: unwrap (R1), undocumented panic (R2),
-    // unvalidated epsilon (R3), nn expect (R1).
-    let diags = run(&ws, &config::Config::default(), None);
+    // Unvalidated epsilon (R3) and a hand-rolled clamp outside
+    // projection.rs (R4), both in fgsm.rs.
+    let diags = run(&ws, &config::Config::default());
     let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
-    assert!(rules.contains(&"R1"), "diags: {diags:?}");
-    assert!(rules.contains(&"R2"), "diags: {diags:?}");
-    assert!(rules.contains(&"R3"), "diags: {diags:?}");
-    assert_eq!(diags.iter().filter(|d| d.rule == "R1").count(), 2);
-
-    // Allowlisting the nn contract removes exactly that diagnostic.
-    let cfg = config::parse(
-        "[[allow]]\nrule = \"R1\"\npath = \"crates/nn/src/pool.rs\"\nitem = \"expect\"\nreason = \"documented contract\"\n",
-    )
-    .expect("config");
-    let filtered = run(&ws, &cfg, None);
-    assert_eq!(filtered.len(), diags.len() - 1);
-    assert!(!filtered.iter().any(|d| d.path == "crates/nn/src/pool.rs"));
-
-    // Single-rule selection.
-    let only_r3 = run(&ws, &config::Config::default(), Some("R3"));
-    assert!(only_r3.iter().all(|d| d.rule == "R3"));
-    assert_eq!(only_r3.len(), 1);
+    assert_eq!(rules, vec!["R3", "R4"], "diags: {diags:?}");
+    assert!(diags.iter().all(|d| d.path == "crates/attacks/src/fgsm.rs"));
 }
 
 #[test]
@@ -107,7 +87,7 @@ fn repository_is_lint_clean() {
     );
     let cfg_src = std::fs::read_to_string(root.join("lint.toml")).expect("lint.toml");
     let cfg = config::parse(&cfg_src).expect("valid lint.toml");
-    let diags = run(&ws, &cfg, None);
+    let diags = run(&ws, &cfg);
     assert!(
         diags.is_empty(),
         "the workspace violates its own invariants:\n{}",
@@ -118,43 +98,99 @@ fn repository_is_lint_clean() {
 #[test]
 fn planting_an_unwrap_in_tensor_ops_fails_the_run() {
     // The acceptance scenario: copy the real tensor sources into a fixture,
-    // plant an unwrap() in ops.rs, and confirm the wall catches it.
+    // plant a public method that reaches an unwrap() one call down, and
+    // confirm S1 reports the chain. (A direct unwrap is clippy's to catch.)
     let root = repo_root();
     let s = Scratch::new("planted");
     let ops =
         std::fs::read_to_string(root.join("crates/tensor/src/ops.rs")).expect("read real ops.rs");
-    let planted = ops.replacen(
+    let mut planted = ops.replacen(
         "impl Tensor {",
-        "impl Tensor {\n    /// Planted violation.\n    pub fn planted(x: Option<f32>) -> f32 { x.unwrap() }\n",
+        "impl Tensor {\n    /// Planted violation.\n    pub fn planted(x: Option<f32>) -> f32 { planted_deep(x) }\n",
         1,
     );
     assert_ne!(planted, ops, "marker line not found in ops.rs");
+    planted.push_str("\nfn planted_deep(x: Option<f32>) -> f32 { x.unwrap() }\n");
     s.write("crates/tensor/src/ops.rs", &planted);
 
     let ws = collect_files(&s.root).expect("walk planted fixture");
-    let diags = run(&ws, &config::Config::default(), None);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "R1" && d.path == "crates/tensor/src/ops.rs" && d.item == "unwrap"),
-        "planted unwrap not caught: {diags:?}"
-    );
+    let diags = run(&ws, &config::Config::default());
+    let hit = diags
+        .iter()
+        .find(|d| d.rule == "S1" && d.path == "crates/tensor/src/ops.rs" && d.item == "planted")
+        .unwrap_or_else(|| panic!("planted unwrap not caught: {diags:?}"));
+    assert!(hit.chain.last().is_some_and(|hop| hop.contains("planted_deep")), "{hit:?}");
 }
 
 #[test]
 fn rendering_is_rustc_style_and_json_is_parseable_shape() {
     let ws = Workspace {
         files: vec![simpadv_lint::FileUnit::from_source(
-            "crates/tensor/src/x.rs",
-            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }",
+            "crates/attacks/src/x.rs",
+            "fn f(d: &T, eps: f32) -> T { d.clamp(-eps, eps) }",
         )],
     };
-    let diags = run(&ws, &config::Config::default(), Some("R1"));
+    let diags = run(&ws, &config::Config::default());
     assert_eq!(diags.len(), 1);
     let text = diags[0].render();
-    assert!(text.starts_with("error[R1]: "));
-    assert!(text.contains("--> crates/tensor/src/x.rs:1"));
+    assert!(text.starts_with("error[R4]: "));
+    assert!(text.contains("--> crates/attacks/src/x.rs:1"));
     let json = simpadv_lint::render_json(&diags);
-    assert!(json.contains("\"rule\":\"R1\""));
+    assert!(json.contains("\"rule\":\"R4\""));
     assert!(json.contains("\"line\":1"));
+}
+
+/// The clippy half of R1: `#![deny(...)]` at a crate root.
+const R1_DENY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
+
+/// Every crate root carrying R1's clippy deny is a panic-free crate for
+/// S1 and S5, and vice versa, so the two halves of the wall police the
+/// same set.
+#[test]
+fn panic_free_crates_deny_the_r1_lints_at_their_root() {
+    let mut denying: Vec<String> = Vec::new();
+    for entry in std::fs::read_dir(repo_root().join("crates")).expect("read crates/") {
+        let dir = entry.expect("dir entry").path();
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else { continue };
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \""))
+            .and_then(|rest| rest.strip_suffix('"'))
+            .expect("package name")
+            .to_string();
+        let lib = std::fs::read_to_string(dir.join("src/lib.rs")).unwrap_or_default();
+        if lib.lines().any(|l| l.trim() == R1_DENY) {
+            denying.push(name);
+        }
+    }
+    denying.sort();
+    let mut expected: Vec<String> = PANIC_FREE_CRATES.iter().map(|c| c.to_string()).collect();
+    expected.sort();
+    assert_eq!(denying, expected);
+}
+
+/// The key/value lines of the TOML table that starts at `header`.
+fn table_entries<'a>(toml: &'a str, header: &str) -> Vec<&'a str> {
+    toml.lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
+/// The planted-violation crate CI runs clippy on lints at exactly the
+/// workspace's levels, so a planted violation fails there iff it would
+/// fail in the workspace.
+#[test]
+fn clippy_fixture_mirrors_the_workspace_lint_table() {
+    let root = repo_root();
+    let workspace = std::fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+    let fixture =
+        std::fs::read_to_string(root.join("crates/lint/tests/fixtures/clippy/Cargo.toml"))
+            .expect("fixture Cargo.toml");
+    let levels = table_entries(&workspace, "[workspace.lints.clippy]");
+    assert!(levels.contains(&"disallowed_methods = \"deny\""), "{levels:?}");
+    assert_eq!(table_entries(&fixture, "[lints.clippy]"), levels);
 }

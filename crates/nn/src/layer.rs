@@ -106,6 +106,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 ///
 /// Panics when the entry is missing — state dictionaries are produced by
 /// [`Layer::state`] and must be complete.
+#[expect(clippy::panic, reason = "R1: documented `# Panics` contract")]
 pub(crate) fn expect_state(state: &[(String, Tensor)], key: &str) -> Tensor {
     state
         .iter()

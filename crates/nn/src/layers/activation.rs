@@ -26,6 +26,7 @@ impl Layer for Relu {
         input.map(|v| v.max(0.0))
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("relu backward before forward");
         assert_eq!(grad_output.shape(), input.shape(), "relu backward shape mismatch");
@@ -79,6 +80,7 @@ impl Layer for LeakyRelu {
         input.map(|v| if v > 0.0 { v } else { a * v })
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("leaky-relu backward before forward");
         let a = self.alpha;
@@ -114,6 +116,7 @@ impl Layer for Sigmoid {
         out
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let out = self.cached_output.as_ref().expect("sigmoid backward before forward");
         grad_output.zip_map(out, |g, s| g * s * (1.0 - s))
@@ -148,6 +151,7 @@ impl Layer for Tanh {
         out
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let out = self.cached_output.as_ref().expect("tanh backward before forward");
         grad_output.zip_map(out, |g, t| g * (1.0 - t * t))
@@ -182,6 +186,7 @@ impl Layer for Softplus {
         input.map(|v| v.max(0.0) + (1.0 + (-v.abs()).exp()).ln())
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("softplus backward before forward");
         // d/dx softplus = sigmoid(x)
@@ -222,6 +227,7 @@ impl Layer for Gelu {
         input.map(|v| v * Self::phi(v))
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("gelu backward before forward");
         grad_output.zip_map(input, |g, x| {
@@ -267,6 +273,7 @@ impl Layer for Softmax {
         out
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let s = self.cached_output.as_ref().expect("softmax backward before forward");
         assert_eq!(grad_output.shape(), s.shape(), "softmax backward shape mismatch");

@@ -98,6 +98,7 @@ impl Layer for BatchNorm1d {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let cache = self.cached.as_ref().expect("batchnorm backward before forward");
         let n = grad_output.shape()[0] as f32;

@@ -104,6 +104,7 @@ impl Layer for Conv2d {
         y_cols.reshape(&[n, oh, ow, self.c_out]).permute(&[0, 3, 1, 2])
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let cols = self.cached_cols.as_ref().expect("conv backward before forward");
         let n = self.cached_batch;

@@ -97,6 +97,7 @@ impl Layer for Dense {
         input.matmul(&self.weight).add(&self.bias)
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("dense backward called before forward");
         assert_eq!(

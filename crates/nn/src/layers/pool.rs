@@ -68,6 +68,7 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(out, &[n, c, oh, ow])
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let arg = self.cached_argmax.as_ref().expect("maxpool backward before forward");
         assert_eq!(grad_output.len(), arg.len(), "maxpool backward shape mismatch");

@@ -39,6 +39,9 @@
 //! assert!(loss1 < loss0, "training reduces the loss on a fixed batch");
 //! ```
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod classifier;
 mod init;
 mod layer;

@@ -50,6 +50,7 @@ fn sabotage(payload: &[u8]) -> Result<Vec<u8>, PersistError> {
 ///
 /// [`PersistError::Io`] with the failing site, or
 /// [`PersistError::Injected`] when a failpoint fired.
+#[expect(clippy::disallowed_methods, reason = "R9: the atomic-write protocol itself")]
 pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<(), PersistError> {
     if let Some(Action::Error) = failpoint::hit("pre-write") {
         return Err(PersistError::Injected { site: "pre-write".to_string() });
@@ -97,6 +98,7 @@ pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<(), PersistError> {
 /// # Errors
 ///
 /// The last error once the attempt budget is exhausted.
+#[expect(clippy::disallowed_methods, reason = "R7: retry backoff on the current thread")]
 pub fn atomic_write_with_retry(
     path: &Path,
     payload: &[u8],

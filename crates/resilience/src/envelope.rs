@@ -35,6 +35,7 @@ struct Header {
 ///
 /// Panics if the header fails to serialize, which the fixed
 /// string/integer header layout rules out.
+#[expect(clippy::panic, reason = "R1: documented `# Panics` contract")]
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let header = Header {
         magic: MAGIC.to_string(),

@@ -38,6 +38,9 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod atomic;
 pub mod backoff;
 mod checksum;
@@ -135,6 +138,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
     fn sealed_json_detects_damage() {
         let path = tmpfile("damage");
         write_sealed_json(&path, &Probe { name: "x".to_string(), epoch: 0 }).unwrap();

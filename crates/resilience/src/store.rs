@@ -182,6 +182,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
     fn damaged_latest_falls_back() {
         let store = tmpstore("fallback", 3);
         store.save(b"good").unwrap();
@@ -202,6 +203,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
     fn all_damaged_is_an_explicit_error() {
         let store = tmpstore("alldamaged", 3);
         store.save(b"x").unwrap();
@@ -212,6 +214,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
     fn next_generation_counts_past_damaged_files() {
         let store = tmpstore("numbering", 3);
         store.save(b"a").unwrap();

@@ -46,6 +46,7 @@ proptest! {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
     fn store_falls_back_to_previous_generation(
         old_payload in vec(0u8..=255, 1..64),
         new_payload in vec(0u8..=255, 1..64),

@@ -31,6 +31,9 @@
 //! through a [`Runtime`] handle, obtained explicitly or via
 //! [`Runtime::global`].
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -104,6 +107,7 @@ impl Drop for WorkerFlagGuard {
 }
 
 /// Number of hardware threads, with a serial fallback when unknown.
+#[expect(clippy::disallowed_methods, reason = "R7: the runtime owns thread discovery")]
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -114,6 +118,7 @@ pub fn available_threads() -> usize {
 ///
 /// Panics when `threads == 0`; use [`try_set_global_threads`] for the
 /// fallible form.
+#[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
 pub fn set_global_threads(threads: usize) {
     try_set_global_threads(threads).unwrap_or_else(|e| panic!("{e}"));
 }
@@ -149,6 +154,7 @@ impl Runtime {
     ///
     /// Panics when `threads == 0`; use [`Runtime::try_new`] for the
     /// fallible form.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn new(threads: usize) -> Self {
         Runtime::try_new(threads).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -178,6 +184,7 @@ impl Runtime {
     /// Panics when [`THREADS_ENV`] is set to something other than a
     /// positive integer; use [`Runtime::try_from_env`] for the fallible
     /// form.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn from_env() -> Self {
         Runtime::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -248,6 +255,7 @@ impl Runtime {
     /// identical no matter how the tasks were scheduled. The logical
     /// clock keeps ticking inside tasks; pool shape and per-task busy
     /// time are recorded on the non-logical side of the clock.
+    #[expect(clippy::disallowed_methods, reason = "R7: the runtime's scoped worker pool")]
     fn run_tasks<R, F>(&self, n_tasks: usize, task: F) -> Vec<R>
     where
         R: Send,
@@ -358,6 +366,7 @@ impl Runtime {
     ///
     /// Panics when `chunk == 0`; use [`Runtime::try_par_chunks`] for the
     /// fallible form. Panics raised by `f` are propagated.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn par_chunks<R, F>(&self, len: usize, chunk: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -397,6 +406,7 @@ impl Runtime {
     /// on whether `fb` ran inline or on its own thread.
     ///
     /// Panics raised by either closure are propagated.
+    #[expect(clippy::disallowed_methods, reason = "R7: the runtime's scoped worker pool")]
     pub fn par_join<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
     where
         A: Send,

@@ -17,6 +17,7 @@ use crate::stats::StatsSnapshot;
 use simpadv_resilience::BackoffPolicy;
 use simpadv_trace::clock::WallTimer;
 use std::io::BufReader;
+#[expect(clippy::disallowed_types, reason = "R11: the serving client owns its socket")]
 use std::net::TcpStream;
 
 /// Outcome of a predict call that reached the server.
@@ -76,6 +77,7 @@ pub fn retry_delay_us(policy: &RetryPolicy, reject: &RejectBody, retry: u32) -> 
 /// [`ServeError::Rejected`] when every attempt was shed (carrying the
 /// last hinted queue capacity); any non-503 failure is propagated
 /// unchanged from [`predict`].
+#[expect(clippy::disallowed_methods, reason = "R7: retry backoff on the current thread")]
 pub fn predict_with_retry(
     addr: &str,
     request: &PredictRequest,
@@ -196,6 +198,7 @@ pub fn wait_ready(addr: &str, timeout_us: u64) -> Result<HealthBody, ServeError>
 }
 
 /// One request/response exchange on a fresh connection.
+#[expect(clippy::disallowed_types, reason = "R11: the serving client owns its socket")]
 fn roundtrip(
     addr: &str,
     method: &str,

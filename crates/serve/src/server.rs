@@ -25,6 +25,7 @@ use crate::protocol::{
 };
 use crate::stats::StatsSnapshot;
 use std::io::BufReader;
+#[expect(clippy::disallowed_types, reason = "R11: the server owns its connections")]
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -63,6 +64,7 @@ impl ServeConfig {
 /// exit; call `shutdown` for an orderly drain.
 pub struct Server {
     engine: Arc<Engine>,
+    #[expect(clippy::disallowed_types, reason = "R11: the server owns its connections")]
     addr: std::net::SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -75,6 +77,11 @@ impl Server {
     ///
     /// [`ServeError::NoModel`] when the store has no valid generation,
     /// [`ServeError::Io`] when the bind fails.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "R7, R11: I/O threads around the listener"
+    )]
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
         let store = simpadv_resilience::CheckpointStore::open(&cfg.model_dir)?;
         let engine = Arc::new(Engine::new(store, cfg.batch.clone())?);
@@ -129,6 +136,7 @@ impl Server {
 
     /// Drains the queue, stops every background thread, and returns the
     /// final statistics snapshot.
+    #[expect(clippy::disallowed_types, reason = "R11: a local connect wakes the acceptor")]
     pub fn shutdown(self) -> StatsSnapshot {
         self.engine.shutdown();
         // The accept loop blocks in accept(); a throwaway connection
@@ -142,6 +150,11 @@ impl Server {
 }
 
 /// Accepts connections until shutdown, one handler thread each.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "R7, R11: I/O threads around the listener"
+)]
 fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>) {
     loop {
         match listener.accept() {
@@ -162,6 +175,7 @@ fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>) {
 }
 
 /// Polls the checkpoint store for new generations until shutdown.
+#[expect(clippy::disallowed_methods, reason = "R7: checkpoint watcher poll thread")]
 fn watch_loop(engine: &Arc<Engine>, interval_us: u64) {
     // Sleep in short slices so shutdown is never delayed by a long
     // watch interval.
@@ -183,6 +197,7 @@ fn watch_loop(engine: &Arc<Engine>, interval_us: u64) {
 }
 
 /// Serves one keep-alive connection until the peer closes it.
+#[expect(clippy::disallowed_types, reason = "R11: the server owns its connections")]
 fn handle_connection(stream: TcpStream, engine: &Arc<Engine>) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -209,6 +224,7 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>) {
 
 /// Routes one parsed request; returns false when the connection should
 /// close.
+#[expect(clippy::disallowed_types, reason = "R11: the server owns its connections")]
 fn respond(writer: &mut TcpStream, engine: &Arc<Engine>, request: &HttpRequest) -> bool {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/predict") => {
@@ -273,6 +289,7 @@ fn respond(writer: &mut TcpStream, engine: &Arc<Engine>, request: &HttpRequest) 
 
 /// Serializes `body` and writes a JSON response; returns false on a
 /// dead socket.
+#[expect(clippy::disallowed_types, reason = "R11: the server owns its connections")]
 fn send_json<T: serde::Serialize>(
     writer: &mut TcpStream,
     status: u16,
@@ -295,6 +312,7 @@ fn send_json<T: serde::Serialize>(
 }
 
 /// Writes an error body; returns false on a dead socket.
+#[expect(clippy::disallowed_types, reason = "R11: the server owns its connections")]
 fn send_error(writer: &mut TcpStream, status: u16, reason: &str, detail: &str) -> bool {
     let body = ErrorBody { error: detail.to_string() };
     send_json(writer, status, reason, &body)

@@ -8,9 +8,11 @@ use simpadv_resilience::CheckpointStore;
 use simpadv_serve::protocol::{read_response, write_request};
 use simpadv_serve::{client, ServeConfig, ServedModel, Server};
 use std::io::BufReader;
+#[expect(clippy::disallowed_types, reason = "R11: raw HTTP the typed client cannot send")]
 use std::net::TcpStream;
 
 #[test]
+#[expect(clippy::disallowed_types, reason = "R11: raw HTTP the typed client cannot send")]
 fn nested_json_bomb_gets_a_400_and_the_server_keeps_answering() {
     let dir = std::env::temp_dir().join("simpadv-serve-hostile-json");
     let _ = std::fs::remove_dir_all(&dir);

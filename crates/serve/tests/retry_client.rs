@@ -11,10 +11,16 @@ use simpadv_serve::protocol::{
 };
 use simpadv_serve::ServeError;
 use std::io::BufReader;
+#[expect(clippy::disallowed_types, reason = "R11: scripted stub server")]
 use std::net::TcpListener;
 
 /// Serves exactly `connections` requests on an ephemeral port: 503 for
 /// the first `shed` of them, 200 afterwards. Returns the bound address.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "R7, R11: scripted stub server thread"
+)]
 fn scripted_server(shed: u32, connections: u32) -> (String, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub listener");
     let addr = listener.local_addr().expect("local addr").to_string();

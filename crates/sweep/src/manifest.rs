@@ -279,6 +279,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
     fn damaged_newest_generation_falls_back_to_previous() {
         let dir = tmpdir("fallback");
         let store = ManifestStore::open(&dir).unwrap();

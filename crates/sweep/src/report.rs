@@ -111,6 +111,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
     fn damage_is_detected_not_resumed_from() {
         let dir = tmpdir("damage");
         let path = dir.join("report.json");

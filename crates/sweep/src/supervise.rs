@@ -10,6 +10,7 @@
 use crate::error::SweepError;
 use simpadv_trace::clock::WallTimer;
 use std::path::PathBuf;
+#[expect(clippy::disallowed_types, reason = "R12: the supervisor owns child lifecycle")]
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -82,6 +83,11 @@ pub struct Supervision {
 ///
 /// [`SweepError::Supervise`] when the child cannot be spawned or waited
 /// on at all — never when the child merely fails, which is an outcome.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "R7, R12: the supervisor spawns and polls the cell"
+)]
 pub fn run_cell(
     command: &ChildCommand,
     cell_args: &[String],
@@ -148,6 +154,7 @@ pub fn run_cell(
 }
 
 /// SIGKILLs the child and reaps it so no zombie outlives the attempt.
+#[expect(clippy::disallowed_types, reason = "R12: the supervisor owns child lifecycle")]
 fn kill_and_reap(child: &mut Child) {
     let _ = child.kill();
     let _ = child.wait();
@@ -157,6 +164,7 @@ fn kill_and_reap(child: &mut Child) {
 /// exactly one `std::thread` touchpoint (lint rule R7 carries a single
 /// `lint.toml` allow for this file: the orchestrator is a sequential
 /// supervisor, not a compute path, so blocking is the correct shape).
+#[expect(clippy::disallowed_methods, reason = "R7: backoff on the current thread")]
 pub(crate) fn sleep_us(us: u64) {
     std::thread::sleep(Duration::from_micros(us));
 }

@@ -285,6 +285,7 @@ fn start_refuses_to_clobber_and_resume_needs_a_manifest() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
 fn completed_cell_with_damaged_report_is_not_trusted() {
     // Exit 0 is not completion: the sealed report must validate. A
     // child whose report was torn (simulated by corrupting it between

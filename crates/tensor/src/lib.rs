@@ -37,6 +37,9 @@
 //! variant returning [`TensorError`] for call sites that process untrusted
 //! shapes. Panicking methods document their panic conditions.
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod conv;
 mod error;
 mod linalg;

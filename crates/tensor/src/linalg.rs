@@ -139,6 +139,7 @@ impl Tensor {
     ///
     /// Panics if either operand is not rank 2 or the inner dimensions
     /// disagree.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         self.try_matmul(rhs).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -179,6 +180,7 @@ impl Tensor {
     ///
     /// Panics if either operand is not rank 2 or the shared dimension
     /// disagrees.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
         self.try_matmul_tn(rhs).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -220,6 +222,7 @@ impl Tensor {
     ///
     /// Panics if either operand is not rank 2 or the shared dimension
     /// disagrees.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         self.try_matmul_nt(rhs).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -131,6 +131,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics when the shapes cannot be broadcast together.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn zip_map<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Tensor {
         self.try_zip_map(other, f).unwrap_or_else(|e| panic!("{e}"))
     }

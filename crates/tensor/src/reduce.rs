@@ -29,6 +29,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on an empty tensor.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn max(&self) -> f32 {
         self.try_max().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -51,6 +52,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on an empty tensor.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn min(&self) -> f32 {
         self.try_min().unwrap_or_else(|e| panic!("{e}"))
     }

@@ -66,6 +66,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `data.len()` does not equal the element count of `shape`.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
         Self::try_from_vec(data, shape).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -216,6 +217,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the element counts differ.
+    #[expect(clippy::panic, reason = "R1: sanctioned try_* wrapper")]
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
         self.try_reshape(shape).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -32,6 +32,9 @@
 //! [`install_memory`], or at first use through the [`TRACE_ENV`] /
 //! [`TRACE_FORMAT_ENV`] environment variables.
 
+// R1: every sanctioned panic site carries an item-level `#[expect]` (DESIGN.md §8).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod clock;
 pub mod context;
 pub mod event;
@@ -86,6 +89,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static STATE: OnceLock<Mutex<State>> = OnceLock::new();
 
 /// Lazily initializes the tracer, honoring [`TRACE_ENV`] on first touch.
+#[expect(clippy::disallowed_methods, reason = "R9: trace sinks append as events happen")]
 fn state() -> &'static Mutex<State> {
     STATE.get_or_init(|| {
         let mut boxed: Box<dyn Sink> = Box::new(NullSink);
@@ -479,6 +483,7 @@ pub fn install_sink(new_sink: Box<dyn Sink>) {
 /// # Errors
 ///
 /// Returns the I/O error if the file cannot be created.
+#[expect(clippy::disallowed_methods, reason = "R9: trace sinks append as events happen")]
 pub fn install_file(path: &std::path::Path, format: TraceFormat) -> std::io::Result<()> {
     let file = std::fs::File::create(path)?;
     let boxed: Box<dyn Sink> = match format {

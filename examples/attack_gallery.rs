@@ -6,6 +6,8 @@
 //! cargo run --release --example attack_gallery
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: examples print their results")]
+
 use simpadv_suite::attacks::{Attack, Bim, Fgsm, Mim, Pgd, RandomNoise};
 use simpadv_suite::data::{ascii_image, SynthConfig, SynthDataset};
 use simpadv_suite::defense::train::{Trainer, VanillaTrainer};

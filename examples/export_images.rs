@@ -6,6 +6,8 @@
 //! cargo run --release --example export_images [out_dir]
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: examples print their results")]
+
 use simpadv_suite::attacks::{Attack, Bim};
 use simpadv_suite::data::{save_pgm, SynthConfig, SynthDataset, FASHION_NAMES};
 use simpadv_suite::defense::train::{Trainer, VanillaTrainer};

@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: examples print their results")]
+
 use simpadv_suite::attacks::{Bim, Fgsm};
 use simpadv_suite::data::{SynthConfig, SynthDataset};
 use simpadv_suite::defense::train::{ProposedTrainer, Trainer, VanillaTrainer};

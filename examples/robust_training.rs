@@ -5,6 +5,8 @@
 //! cargo run --release --example robust_training [mnist|fashion]
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: examples print their results")]
+
 use simpadv_suite::data::SynthDataset;
 use simpadv_suite::defense::experiments::ExperimentScale;
 use simpadv_suite::defense::train::{

@@ -6,6 +6,8 @@
 //! cargo run --release --example tradeoff_sweep
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R8: examples print their results")]
+
 use simpadv_suite::attacks::Bim;
 use simpadv_suite::data::{SynthConfig, SynthDataset};
 use simpadv_suite::defense::train::{ProposedTrainer, Trainer};

@@ -7,7 +7,29 @@
 //! (`random`, `random_range`) — on top of a hand-rolled xoshiro256++
 //! generator. Everything is deterministic under a seed; there is no
 //! `thread_rng`, no `from_entropy`, and no global entropy source, by design:
-//! the workspace's reproducibility lint (R5) forbids ambient randomness.
+//! the workspace's reproducibility rule (R5) forbids ambient randomness, and
+//! the compiler enforces it. Seeded construction builds:
+//!
+//! ```
+//! use rand::{RngExt, SeedableRng};
+//! let x: f32 = rand::rngs::StdRng::seed_from_u64(7).random();
+//! assert!((0.0..1.0).contains(&x));
+//! ```
+//!
+//! while every unseeded entry point fails to compile:
+//!
+//! ```compile_fail
+//! let mut rng = rand::thread_rng();
+//! ```
+//!
+//! ```compile_fail
+//! use rand::SeedableRng;
+//! let rng = rand::rngs::StdRng::from_entropy();
+//! ```
+//!
+//! ```compile_fail
+//! let x = rand::random::<f32>();
+//! ```
 
 #![forbid(unsafe_code)]
 

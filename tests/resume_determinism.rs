@@ -178,6 +178,7 @@ fn assert_failpoint_matrix_recoverable() {
 
 /// A damaged newest generation must not stop a resume: the session skips
 /// it and fast-forwards from the newest *valid* snapshot.
+#[expect(clippy::disallowed_methods, reason = "R9: damages a persisted file on purpose")]
 fn assert_damaged_generation_falls_back(reference: &[f32]) {
     let dir = fresh_dir("damaged-fallback");
     let first = run_training(&dir, EPOCHS, false);
