@@ -125,14 +125,16 @@ fn chaos_campaign_assembles_to_the_uninterrupted_logical_tree() {
     assert!(ok, "reference campaign failed:\n{log}");
 
     // Chaos campaign: SIGKILL the first cell attempt shortly after
-    // spawn; the retry resumes from checkpoints.
+    // spawn; the retry resumes from checkpoints. The kill must land
+    // before the attempt finishes: a cell of this grid takes 100-130 ms
+    // in the test build on a 2-CPU x86-64 machine, so 50 ms leaves a
+    // margin.
     let chaos_dir = tmpdir("chaos");
     let chaos_out = chaos_dir.join("BENCH_sweep.json");
     let chaos_traces = chaos_dir.join("traces");
     let mut args = grid_args(&chaos_dir, &chaos_out, &chaos_traces);
     args.extend(
-        ["--chaos-kill-cell-after-us", "100000", "--chaos-kill-cell-times", "1"]
-            .map(str::to_string),
+        ["--chaos-kill-cell-after-us", "50000", "--chaos-kill-cell-times", "1"].map(str::to_string),
     );
     let (ok, log) = run_campaign(&args);
     assert!(ok, "chaos campaign failed:\n{log}");

@@ -102,9 +102,11 @@ fn chaos_killed_cells_converge_to_the_uninterrupted_result() {
     let mut args = grid_args(&chaos_dir, &chaos_out);
     // SIGKILL the first cell attempt shortly after spawn; the retry
     // resumes from its checkpoints and must land on the same report.
+    // The kill must land before the attempt finishes: a cell of this
+    // grid takes 100-130 ms in the test build on a 2-CPU x86-64
+    // machine, so 50 ms leaves a margin.
     args.extend(
-        ["--chaos-kill-cell-after-us", "100000", "--chaos-kill-cell-times", "1"]
-            .map(str::to_string),
+        ["--chaos-kill-cell-after-us", "50000", "--chaos-kill-cell-times", "1"].map(str::to_string),
     );
     let (ok, log) = run_campaign(&args);
     assert!(ok, "chaos campaign failed:\n{log}");

@@ -1,13 +1,16 @@
-//! Dense linear algebra: matrix multiplication variants, dot and outer
-//! products.
+//! Dense linear algebra: the matrix product and its transposed forms.
 //!
-//! The matmul kernels use the cache-friendly `i-k-j` loop order; that is
-//! within a small factor of a tuned BLAS for the matrix sizes that occur
-//! (hundreds by hundreds). Products above [`PAR_WORK_THRESHOLD`] are
-//! row-blocked across the global [`Runtime`]: every output row is
-//! computed by the same per-row loop as the serial kernel and the blocks
-//! are concatenated in row order, so parallel results are bitwise equal
-//! to serial ones for any thread count.
+//! There is one kernel, [`matmul_rows`], in the cache-friendly `i-k-j`
+//! loop order; that is within a small factor of a tuned BLAS for the
+//! matrix sizes that occur (hundreds by hundreds). `matmul_tn` and
+//! `matmul_nt` pack by transposing their transposed operand into a
+//! row-major copy and then run the same kernel, so every output element
+//! accumulates `a[i][p] * b[p][j]` from `+0.0` with `p` ascending in all
+//! three products. Products above [`PAR_WORK_THRESHOLD`] are row-blocked
+//! across the global [`Runtime`]: every output row is computed by the
+//! same per-row loop as the serial kernel and the blocks are concatenated
+//! in row order, so parallel results are bitwise equal to serial ones for
+//! any thread count.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -26,7 +29,7 @@ const KERNEL_CHUNKS: usize = 16;
 /// Logical multiply-accumulate count of an `[m, k] x [k, n]` product —
 /// the exact amount every matmul variant ticks into the trace clock.
 /// Shape introspection for the kernel microbenchmark lab: the scoreboard
-/// derives GFLOP/s from this, never from a measured counter.
+/// derives GMAC/s from this, never from a measured counter.
 pub fn matmul_flops(m: usize, k: usize, n: usize) -> u64 {
     (m as u64) * (k as u64) * (n as u64)
 }
@@ -49,16 +52,10 @@ fn parallel_plan(m: usize, k: usize, n: usize) -> Option<(Runtime, usize)> {
     }
 }
 
-/// Concatenates per-chunk output row blocks (already in row order).
-fn concat_blocks(blocks: Vec<Vec<f32>>, m: usize, n: usize) -> Tensor {
-    let mut out = Vec::with_capacity(m * n);
-    for block in blocks {
-        out.extend_from_slice(&block);
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Rows `rows` of `a @ b` (`a: [m, k]`, `b: [k, n]`), `i-k-j` order.
+/// Rows `rows` of `a @ b` (`a: [m, k]`, `b: [k, n]`), `i-k-j` order:
+/// each output element accumulates from `+0.0` with `p` ascending. A zero
+/// `a[i][p]` is skipped; for finite `b` that only drops `±0.0` terms from
+/// an accumulator that is never `-0.0`, so the skip is bitwise neutral.
 fn matmul_rows(a: &[f32], b: &[f32], rows: std::ops::Range<usize>, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; rows.len() * n];
     for (row_idx, i) in rows.enumerate() {
@@ -77,63 +74,24 @@ fn matmul_rows(a: &[f32], b: &[f32], rows: std::ops::Range<usize>, k: usize, n: 
     out
 }
 
-/// Rows `rows` of `aᵀ @ b` (`a: [k, m]`, `b: [k, n]`): for each output
-/// row `i`, accumulates over `p` in increasing order with the same
-/// zero-skip as the serial `p`-outer kernel, so per-element flop order —
-/// and therefore the f32 result — is identical.
-fn matmul_tn_rows(
-    a: &[f32],
-    b: &[f32],
-    rows: std::ops::Range<usize>,
-    k: usize,
-    m: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    for (row_idx, i) in rows.enumerate() {
-        let orow = &mut out[row_idx * n..(row_idx + 1) * n];
-        for p in 0..k {
-            let av = a[p * m + i];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
-}
-
-/// Rows `rows` of `a @ bᵀ` (`a: [m, k]`, `b: [n, k]`), dot per cell.
-fn matmul_nt_rows(
-    a: &[f32],
-    b: &[f32],
-    rows: std::ops::Range<usize>,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    for (row_idx, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[row_idx * n..(row_idx + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *o = acc;
-        }
-    }
-    out
+/// `a @ b` (`a: [m, k]`, `b: [k, n]`) through [`matmul_rows`]: serial
+/// below [`PAR_WORK_THRESHOLD`], row-blocked across the runtime above it
+/// with the blocks concatenated in row order.
+fn matmul_dispatch(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    let out = match parallel_plan(m, k, n) {
+        Some((rt, chunk)) => rt.par_chunks(m, chunk, |rows| matmul_rows(a, b, rows, k, n)).concat(),
+        None => matmul_rows(a, b, 0..m, k, n),
+    };
+    Tensor::from_vec(out, &[m, n])
 }
 
 impl Tensor {
     /// Matrix product `self @ rhs` of two rank-2 tensors.
     ///
     /// Shapes: `[m, k] @ [k, n] -> [m, n]`.
+    ///
+    /// A zero entry of `self` is skipped, so it contributes nothing even
+    /// where it meets a NaN or infinity in `rhs` (`0 × NaN` adds no NaN).
     ///
     /// # Panics
     ///
@@ -163,18 +121,17 @@ impl Tensor {
             });
         }
         simpadv_trace::clock::add_flops(matmul_flops(m, k, n));
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        if let Some((rt, chunk)) = parallel_plan(m, k, n) {
-            let blocks = rt.par_chunks(m, chunk, |rows| matmul_rows(a, b, rows, k, n));
-            return Ok(concat_blocks(blocks, m, n));
-        }
-        Ok(Tensor::from_vec(matmul_rows(a, b, 0..m, k, n), &[m, n]))
+        Ok(matmul_dispatch(self.as_slice(), rhs.as_slice(), m, k, n))
     }
 
-    /// `selfᵀ @ rhs` without materializing the transpose.
+    /// `selfᵀ @ rhs`, computed as `self.transpose()` fed to the
+    /// [`Tensor::matmul`] kernel, so it is bitwise equal to
+    /// `self.transpose().matmul(rhs)`.
     ///
     /// Shapes: `[k, m]ᵀ @ [k, n] -> [m, n]`.
+    ///
+    /// A zero entry of `self` is skipped, so it contributes nothing even
+    /// where it meets a NaN or infinity in `rhs` (`0 × NaN` adds no NaN).
     ///
     /// # Panics
     ///
@@ -204,19 +161,17 @@ impl Tensor {
             });
         }
         simpadv_trace::clock::add_flops(matmul_flops(m, k, n));
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        // out[i][j] = sum_p a[p][i] * b[p][j]
-        if let Some((rt, chunk)) = parallel_plan(m, k, n) {
-            let blocks = rt.par_chunks(m, chunk, |rows| matmul_tn_rows(a, b, rows, k, m, n));
-            return Ok(concat_blocks(blocks, m, n));
-        }
-        Ok(Tensor::from_vec(matmul_tn_rows(a, b, 0..m, k, m, n), &[m, n]))
+        Ok(matmul_dispatch(self.transpose().as_slice(), rhs.as_slice(), m, k, n))
     }
 
-    /// `self @ rhsᵀ` without materializing the transpose.
+    /// `self @ rhsᵀ`, computed as `rhs.transpose()` fed to the
+    /// [`Tensor::matmul`] kernel, so it is bitwise equal to
+    /// `self.matmul(&rhs.transpose())`.
     ///
     /// Shapes: `[m, k] @ [n, k]ᵀ -> [m, n]`.
+    ///
+    /// A zero entry of `self` is skipped, so it contributes nothing even
+    /// where it meets a NaN or infinity in `rhs` (`0 × NaN` adds no NaN).
     ///
     /// # Panics
     ///
@@ -246,48 +201,7 @@ impl Tensor {
             });
         }
         simpadv_trace::clock::add_flops(matmul_flops(m, k, n));
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        if let Some((rt, chunk)) = parallel_plan(m, k, n) {
-            let blocks = rt.par_chunks(m, chunk, |rows| matmul_nt_rows(a, b, rows, k, n));
-            return Ok(concat_blocks(blocks, m, n));
-        }
-        Ok(Tensor::from_vec(matmul_nt_rows(a, b, 0..m, k, n), &[m, n]))
-    }
-
-    /// Inner (dot) product of two 1-D tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 1 or lengths differ.
-    pub fn dot(&self, rhs: &Tensor) -> f32 {
-        assert_eq!(self.rank(), 1, "dot expects rank-1 tensors");
-        assert_eq!(rhs.rank(), 1, "dot expects rank-1 tensors");
-        assert_eq!(self.len(), rhs.len(), "dot length mismatch");
-        self.as_slice().iter().zip(rhs.as_slice()).map(|(&a, &b)| a * b).sum()
-    }
-
-    /// Outer product of two 1-D tensors: `[m] ⊗ [n] -> [m, n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank 1.
-    pub fn outer(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 1, "outer expects rank-1 tensors");
-        assert_eq!(rhs.rank(), 1, "outer expects rank-1 tensors");
-        let (m, n) = (self.len(), rhs.len());
-        let mut out = Vec::with_capacity(m * n);
-        for &a in self.as_slice() {
-            for &b in rhs.as_slice() {
-                out.push(a * b);
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// The Frobenius (l2) norm of the tensor.
-    pub fn norm_l2(&self) -> f32 {
-        self.as_slice().iter().map(|&v| v * v).sum::<f32>().sqrt()
+        Ok(matmul_dispatch(self.as_slice(), rhs.transpose().as_slice(), m, k, n))
     }
 
     /// The l∞ (maximum absolute value) norm of the tensor; 0 when empty.
@@ -306,6 +220,168 @@ fn check_rank2(t: &Tensor, op: &'static str) -> Result<(), TensorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    // Dedicated `aᵀ @ b` and `a @ bᵀ` kernels that read the transposed
+    // operand in place: reference implementations that the packed
+    // `matmul_tn`/`matmul_nt` must match bit for bit.
+
+    /// Rows `rows` of `aᵀ @ b` (`a: [k, m]`, `b: [k, n]`): for each output
+    /// row `i`, accumulates over `p` in increasing order with the same
+    /// zero-skip as the serial `p`-outer kernel, so per-element flop order —
+    /// and therefore the f32 result — is identical.
+    fn matmul_tn_rows(
+        a: &[f32],
+        b: &[f32],
+        rows: std::ops::Range<usize>,
+        k: usize,
+        m: usize,
+        n: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; rows.len() * n];
+        for (row_idx, i) in rows.enumerate() {
+            let orow = &mut out[row_idx * n..(row_idx + 1) * n];
+            for p in 0..k {
+                let av = a[p * m + i];
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &b[p * n..(p + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// Rows `rows` of `a @ bᵀ` (`a: [m, k]`, `b: [n, k]`), dot per cell.
+    fn matmul_nt_rows(
+        a: &[f32],
+        b: &[f32],
+        rows: std::ops::Range<usize>,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; rows.len() * n];
+        for (row_idx, i) in rows.enumerate() {
+            let arow = &a[i * k..(i + 1) * k];
+            let orow = &mut out[row_idx * n..(row_idx + 1) * n];
+            for (j, o) in orow.iter_mut().enumerate() {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow) {
+                    acc += av * bv;
+                }
+                *o = acc;
+            }
+        }
+        out
+    }
+
+    /// A `shape` tensor of uniform values in which about a third of the
+    /// entries are `0.0` or `-0.0`, so the kernel's zero-skip is exercised.
+    fn sparse(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+        let vals = Tensor::rand_uniform(rng, shape, -1.0, 1.0);
+        let pick = Tensor::rand_uniform(rng, shape, 0.0, 3.0);
+        let data = vals
+            .as_slice()
+            .iter()
+            .zip(pick.as_slice())
+            .map(|(&v, &p)| {
+                if p < 0.5 {
+                    0.0
+                } else if p < 1.0 {
+                    -0.0
+                } else {
+                    v
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, shape)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `(packed, oracle)` bit patterns of `matmul_tn` and `matmul_nt` for
+    /// an `[m, k] x [k, n]` product on fresh sparse operands.
+    fn packed_and_oracle(
+        rng: &mut StdRng,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> [(Vec<u32>, Vec<u32>); 2] {
+        let (at, b) = (sparse(rng, &[k, m]), sparse(rng, &[k, n]));
+        let (a, bt) = (sparse(rng, &[m, k]), sparse(rng, &[n, k]));
+        [
+            (
+                bits(at.matmul_tn(&b).as_slice()),
+                bits(&matmul_tn_rows(at.as_slice(), b.as_slice(), 0..m, k, m, n)),
+            ),
+            (
+                bits(a.matmul_nt(&bt).as_slice()),
+                bits(&matmul_nt_rows(a.as_slice(), bt.as_slice(), 0..m, k, n)),
+            ),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn packed_products_match_the_scalar_oracles_bitwise(
+            m in 1usize..=40,
+            k in 1usize..=40,
+            n in 1usize..=40,
+            seed in 0u64..1000,
+        ) {
+            let [tn, nt] = packed_and_oracle(&mut StdRng::seed_from_u64(seed), m, k, n);
+            prop_assert_eq!(tn.0, tn.1, "matmul_tn");
+            prop_assert_eq!(nt.0, nt.1, "matmul_nt");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn packed_products_match_the_oracles_at_experiment_shapes() {
+        // `[m, k, n]`: the MLP's input-gradient and weight-gradient
+        // products, an odd batch, one row, two small odd shapes, then the
+        // small CNN's conv forward (`[n*oh*ow, c*k*k, c_out]`) and weight
+        // gradient (`[c_out, n*oh*ow, c*k*k]`) at batch 64. The large
+        // ones cross PAR_WORK_THRESHOLD, so with a multi-threaded global
+        // pool the row-blocked path is compared too.
+        let shapes = [
+            [64, 128, 784],
+            [784, 64, 128],
+            [100, 128, 784],
+            [1, 784, 128],
+            [3, 5, 7],
+            [37, 19, 23],
+            [64 * 28 * 28, 9, 8],
+            [8, 64 * 28 * 28, 9],
+            [64 * 14 * 14, 72, 16],
+            [16, 64 * 14 * 14, 72],
+        ];
+        let mut rng = StdRng::seed_from_u64(2019);
+        for [m, k, n] in shapes {
+            let [tn, nt] = packed_and_oracle(&mut rng, m, k, n);
+            assert!(tn.0 == tn.1, "matmul_tn at {m}x{k}x{n}");
+            assert!(nt.0 == nt.1, "matmul_nt at {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn zero_times_non_finite_is_skipped_by_all_three_products() {
+        // Column 0 of `a` is `0.0` and `-0.0`, so it meets the NaN and the
+        // infinity in row 0 of `b`.
+        let a = Tensor::from_vec(vec![0.0, 1.0, -0.0, 2.0], &[2, 2]);
+        let b = Tensor::from_vec(vec![f32::NAN, f32::INFINITY, 2.0, 3.0], &[2, 2]);
+        let want = [2.0, 3.0, 4.0, 6.0];
+        assert_eq!(a.matmul(&b).as_slice(), &want);
+        assert_eq!(a.transpose().matmul_tn(&b).as_slice(), &want);
+        assert_eq!(a.matmul_nt(&b.transpose()).as_slice(), &want);
+    }
 
     #[test]
     fn matmul_identity() {
@@ -376,19 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_outer() {
-        let a = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let b = Tensor::from_slice(&[4.0, 5.0, 6.0]);
-        assert_eq!(a.dot(&b), 32.0);
-        let o = a.outer(&b);
-        assert_eq!(o.shape(), &[3, 3]);
-        assert_eq!(o.at(&[2, 0]), 12.0);
-    }
-
-    #[test]
     fn norms() {
         let t = Tensor::from_slice(&[3.0, -4.0]);
-        assert_eq!(t.norm_l2(), 5.0);
         assert_eq!(t.norm_linf(), 4.0);
         assert_eq!(Tensor::default().norm_linf(), 0.0);
     }
