@@ -126,9 +126,11 @@ fn chaos_campaign_assembles_to_the_uninterrupted_logical_tree() {
 
     // Chaos campaign: SIGKILL the first cell attempt shortly after
     // spawn; the retry resumes from checkpoints. The kill must land
-    // before the attempt finishes: a cell of this grid takes 100-130 ms
-    // in the test build on a 2-CPU x86-64 machine, so 50 ms leaves a
-    // margin.
+    // before the attempt finishes. In the test build on a 2-CPU x86-64
+    // machine this grid's campaign takes about 260 ms for its two
+    // cells, and 12 chaos campaigns per kill delay spent a retry in
+    // 12/12 at 25, 50, 75 and 100 ms but only 2/12 at 150 ms: a first
+    // attempt lives 100-150 ms, so 50 ms leaves a margin of at least 2x.
     let chaos_dir = tmpdir("chaos");
     let chaos_out = chaos_dir.join("BENCH_sweep.json");
     let chaos_traces = chaos_dir.join("traces");

@@ -102,9 +102,12 @@ fn chaos_killed_cells_converge_to_the_uninterrupted_result() {
     let mut args = grid_args(&chaos_dir, &chaos_out);
     // SIGKILL the first cell attempt shortly after spawn; the retry
     // resumes from its checkpoints and must land on the same report.
-    // The kill must land before the attempt finishes: a cell of this
-    // grid takes 100-130 ms in the test build on a 2-CPU x86-64
-    // machine, so 50 ms leaves a margin.
+    // The kill must land before the attempt finishes. In the test
+    // build on a 2-CPU x86-64 machine this grid's campaign takes about
+    // 260 ms for its two cells, and 12 chaos campaigns per kill delay
+    // spent a retry in 12/12 at 25, 50, 75 and 100 ms but only 2/12 at
+    // 150 ms: a first attempt lives 100-150 ms, so 50 ms leaves a
+    // margin of at least 2x.
     args.extend(
         ["--chaos-kill-cell-after-us", "50000", "--chaos-kill-cell-times", "1"].map(str::to_string),
     );

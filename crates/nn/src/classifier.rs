@@ -149,12 +149,16 @@ impl Classifier {
 
     /// One optimizer step on a batch: forward, loss, backward, update.
     /// Returns the batch's mean loss.
+    ///
+    /// The backward pass computes parameter gradients only
+    /// ([`Layer::backward_params`]): nothing reads the gradient with respect
+    /// to the input, so the first layer skips it.
     pub fn train_batch(&mut self, x: &Tensor, y: &[usize], opt: &mut dyn Optimizer) -> f32 {
         let logits = self.forward_train(x);
         let (loss, grad) = self.loss.forward(&logits, y);
         self.net.zero_grad();
         self.note_backward();
-        let _ = self.net.backward(&grad);
+        self.net.backward_params(&grad);
         opt.step(&mut self.net.params());
         loss
     }
@@ -187,7 +191,8 @@ impl Classifier {
     ///
     /// This is the hook for methods with composite losses (e.g. ATDA's
     /// domain-adaptation terms) that cannot be expressed as a per-example
-    /// criterion.
+    /// criterion. Like [`Classifier::train_batch`], it skips the input
+    /// gradient.
     ///
     /// # Panics
     ///
@@ -196,7 +201,7 @@ impl Classifier {
     pub fn step_from_logit_grad(&mut self, grad_logits: &Tensor, opt: &mut dyn Optimizer) {
         self.net.zero_grad();
         self.note_backward();
-        let _ = self.net.backward(grad_logits);
+        self.net.backward_params(grad_logits);
         opt.step(&mut self.net.params());
     }
 
@@ -222,13 +227,12 @@ impl GradientModel for Classifier {
         self.note_forward();
         let logits = self.net.forward(x, Mode::Eval);
         let (loss, grad_logits) = self.loss.forward(&logits, y);
-        // Attack gradients must not pollute the training gradients: clear
-        // before and after the extra backward pass.
-        self.net.zero_grad();
+        // Attack gradients cannot pollute the training gradients: an
+        // eval-mode backward leaves the weight gradients untouched (batch
+        // norm's may accumulate), and every train step zeroes them before
+        // its own backward.
         self.note_backward();
-        let grad_x = self.net.backward(&grad_logits);
-        self.net.zero_grad();
-        (loss, grad_x)
+        (loss, self.net.backward(&grad_logits))
     }
 
     fn custom_input_grad(
@@ -240,11 +244,8 @@ impl GradientModel for Classifier {
         let logits = self.net.forward(x, Mode::Eval);
         let grad_logits = grad_of_logits(&logits);
         assert_eq!(grad_logits.shape(), logits.shape(), "custom logit gradient shape mismatch");
-        self.net.zero_grad();
         self.note_backward();
-        let grad_x = self.net.backward(&grad_logits);
-        self.net.zero_grad();
-        grad_x
+        self.net.backward(&grad_logits)
     }
 
     fn num_classes(&self) -> usize {
@@ -255,7 +256,7 @@ impl GradientModel for Classifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu};
+    use crate::layers::{BatchNorm1d, Dense, Relu};
     use crate::optim::Sgd;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -264,6 +265,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = Sequential::new(vec![
             Box::new(Dense::new(4, 16, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(16, 3, &mut rng)),
+        ]);
+        Classifier::new(net, 3)
+    }
+
+    /// `tiny_classifier` with batch norm, whose eval-mode backward still
+    /// accumulates its parameter gradients.
+    fn tiny_bn_classifier(seed: u64) -> Classifier {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Sequential::new(vec![
+            Box::new(Dense::new(4, 16, &mut rng)),
+            Box::new(BatchNorm1d::new(16, 0.1)),
             Box::new(Relu::new()),
             Box::new(Dense::new(16, 3, &mut rng)),
         ]);
@@ -324,17 +338,26 @@ mod tests {
 
     #[test]
     fn attack_gradients_do_not_leak_into_training() {
-        let mut a = tiny_classifier(7);
-        let mut b = tiny_classifier(7);
-        let (x, y) = toy_batch(4);
-        // model a computes an input gradient first; both then take one step
-        let _ = a.loss_and_input_grad(&x, &y);
-        let mut opt_a = Sgd::new(0.1);
-        let mut opt_b = Sgd::new(0.1);
-        let la = a.train_batch(&x, &y, &mut opt_a);
-        let lb = b.train_batch(&x, &y, &mut opt_b);
-        assert_eq!(la, lb);
-        assert_eq!(a.logits(&x), b.logits(&x));
+        for make in [tiny_classifier, tiny_bn_classifier] {
+            let mut a = make(7);
+            let mut b = make(7);
+            let (x, y) = toy_batch(4);
+            let mut opt_a = Sgd::new(0.1);
+            let mut opt_b = Sgd::new(0.1);
+            // model a computes input gradients before each step; b does not
+            for _ in 0..2 {
+                let _ = a.loss_and_input_grad(&x, &y);
+                let _ = a.custom_input_grad(&x, &mut |logits| logits.clone());
+                let la = a.train_batch(&x, &y, &mut opt_a);
+                let lb = b.train_batch(&x, &y, &mut opt_b);
+                assert_eq!(la.to_bits(), lb.to_bits());
+                let _ = a.loss_and_input_grad(&x, &y);
+                let (la, _) = a.train_batch_with_input_grad(&x, &y, &mut opt_a);
+                let (lb, _) = b.train_batch_with_input_grad(&x, &y, &mut opt_b);
+                assert_eq!(la.to_bits(), lb.to_bits());
+            }
+            assert_eq!(a.logits(&x), b.logits(&x));
+        }
     }
 
     #[test]

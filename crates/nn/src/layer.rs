@@ -32,31 +32,56 @@ pub struct ParamRef<'a> {
 ///
 /// 1. `forward` consumes an input batch, caches whatever the backward pass
 ///    needs, and returns the output batch.
-/// 2. `backward` must be called after a matching `forward`; it receives
-///    ∂loss/∂output, **accumulates** ∂loss/∂parameters into the layer's
-///    gradient buffers, and returns ∂loss/∂input.
-/// 3. `params` exposes parameters and gradients in a stable order.
-///
-/// `backward` after `forward(Mode::Eval)` is permitted and must produce the
-/// gradients of the *evaluation* function — attacks differentiate the
-/// deterministic inference network.
+/// 2. `backward` must be called after a matching `forward`, at most once
+///    per `forward`: it **consumes** the cache, so a second `backward`
+///    without a new `forward` panics with "before forward". It receives
+///    ∂loss/∂output and returns ∂loss/∂input. After a
+///    `forward(Mode::Train)` it also **accumulates** ∂loss/∂parameters
+///    into the layer's gradient buffers. After a `forward(Mode::Eval)` it
+///    returns the gradient of the *evaluation* function (attacks
+///    differentiate the deterministic inference network), and a layer may
+///    skip its parameter gradients: `Dense` and `Conv2d` leave theirs
+///    untouched, while `BatchNorm1d` still accumulates. Callers that read
+///    parameter gradients zero them first and run a train-mode forward.
+/// 3. `backward_params` is `backward` for a caller that discards
+///    ∂loss/∂input (the first layer of a train step): it consumes the cache
+///    and accumulates exactly the parameter gradients `backward` would,
+///    and a layer may skip the input-gradient product.
+/// 4. `params` exposes parameters and gradients in a stable order.
 ///
 /// Layers are `Send + Sync` (they hold plain tensors, scalars, and seeded
 /// rngs) so model replicas can cross `simpadv-runtime` worker boundaries,
 /// and [`Layer::clone_box`] produces those replicas from behind the trait
-/// object.
+/// object. Because `backward` consumes the cache, a replica cloned after
+/// a completed backward pass carries no stale activations.
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Runs the layer on `input`, caching state for `backward`.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
-    /// Backpropagates `grad_output` (∂loss/∂output), accumulating parameter
-    /// gradients and returning ∂loss/∂input.
+    /// Backpropagates `grad_output` (∂loss/∂output), consuming the forward
+    /// cache and returning ∂loss/∂input; after a train-mode forward it also
+    /// accumulates parameter gradients (see the trait contract for eval
+    /// mode).
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before `forward` or with a
-    /// gradient whose shape does not match the last forward output.
+    /// Implementations may panic if called without a preceding `forward`
+    /// (including a second call after one `forward`) or with a gradient
+    /// whose shape does not match the last forward output.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// Backpropagates `grad_output` for its parameter gradients only: the
+    /// same accumulation as [`Layer::backward`], but the caller discards
+    /// ∂loss/∂input, so a layer may skip computing it.
+    ///
+    /// Defaults to running `backward` and dropping its result.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let _ = self.backward(grad_output);
+    }
 
     /// Trainable parameters in a stable order. Defaults to none.
     fn params(&mut self) -> Vec<ParamRef<'_>> {

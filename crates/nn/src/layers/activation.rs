@@ -28,9 +28,9 @@ impl Layer for Relu {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("relu backward before forward");
+        let input = self.cached_input.take().expect("relu backward before forward");
         assert_eq!(grad_output.shape(), input.shape(), "relu backward shape mismatch");
-        grad_output.zip_map(input, |g, x| if x > 0.0 { g } else { 0.0 })
+        grad_output.zip_map(&input, |g, x| if x > 0.0 { g } else { 0.0 })
     }
 
     fn name(&self) -> &'static str {
@@ -82,9 +82,9 @@ impl Layer for LeakyRelu {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("leaky-relu backward before forward");
+        let input = self.cached_input.take().expect("leaky-relu backward before forward");
         let a = self.alpha;
-        grad_output.zip_map(input, |g, x| if x > 0.0 { g } else { a * g })
+        grad_output.zip_map(&input, |g, x| if x > 0.0 { g } else { a * g })
     }
 
     fn name(&self) -> &'static str {
@@ -118,8 +118,8 @@ impl Layer for Sigmoid {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self.cached_output.as_ref().expect("sigmoid backward before forward");
-        grad_output.zip_map(out, |g, s| g * s * (1.0 - s))
+        let out = self.cached_output.take().expect("sigmoid backward before forward");
+        grad_output.zip_map(&out, |g, s| g * s * (1.0 - s))
     }
 
     fn name(&self) -> &'static str {
@@ -153,8 +153,8 @@ impl Layer for Tanh {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self.cached_output.as_ref().expect("tanh backward before forward");
-        grad_output.zip_map(out, |g, t| g * (1.0 - t * t))
+        let out = self.cached_output.take().expect("tanh backward before forward");
+        grad_output.zip_map(&out, |g, t| g * (1.0 - t * t))
     }
 
     fn name(&self) -> &'static str {
@@ -188,9 +188,9 @@ impl Layer for Softplus {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("softplus backward before forward");
+        let input = self.cached_input.take().expect("softplus backward before forward");
         // d/dx softplus = sigmoid(x)
-        grad_output.zip_map(input, |g, x| g / (1.0 + (-x).exp()))
+        grad_output.zip_map(&input, |g, x| g / (1.0 + (-x).exp()))
     }
 
     fn name(&self) -> &'static str {
@@ -229,8 +229,8 @@ impl Layer for Gelu {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("gelu backward before forward");
-        grad_output.zip_map(input, |g, x| {
+        let input = self.cached_input.take().expect("gelu backward before forward");
+        grad_output.zip_map(&input, |g, x| {
             const C: f32 = 0.797_884_6;
             let inner = C * (x + 0.044_715 * x * x * x);
             let t = inner.tanh();
@@ -275,7 +275,7 @@ impl Layer for Softmax {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let s = self.cached_output.as_ref().expect("softmax backward before forward");
+        let s = self.cached_output.take().expect("softmax backward before forward");
         assert_eq!(grad_output.shape(), s.shape(), "softmax backward shape mismatch");
         // For each row: dx = s ⊙ (g - <g, s>)
         let (n, c) = (s.shape()[0], s.shape()[1]);

@@ -18,7 +18,7 @@ pub struct BatchNorm1d {
     running_var: Tensor,
     momentum: f32,
     eps: f32,
-    // backward cache
+    // forward cache, consumed by the backward pass
     cached: Option<BnCache>,
 }
 
@@ -100,7 +100,7 @@ impl Layer for BatchNorm1d {
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self.cached.as_ref().expect("batchnorm backward before forward");
+        let cache = self.cached.take().expect("batchnorm backward before forward");
         let n = grad_output.shape()[0] as f32;
         // dgamma / dbeta are the same in both modes
         self.grad_gamma.add_assign(&grad_output.mul(&cache.xhat).sum_axis(0));

@@ -33,8 +33,9 @@ pub struct Conv2d {
     c_in: usize,
     c_out: usize,
     geom: Conv2dGeometry,
-    cached_cols: Option<Tensor>,
-    cached_batch: usize,
+    /// The last forward's patch matrix, batch size and mode, consumed by
+    /// the backward pass.
+    cached: Option<(Tensor, usize, Mode)>,
 }
 
 impl Conv2d {
@@ -70,8 +71,7 @@ impl Conv2d {
             c_in,
             c_out,
             geom,
-            cached_cols: None,
-            cached_batch: 0,
+            cached: None,
         }
     }
 
@@ -84,6 +84,23 @@ impl Conv2d {
     pub fn out_channels(&self) -> usize {
         self.c_out
     }
+
+    /// Consumes the cache and lays `grad_output` out like the patch
+    /// matrix's output, `[n, c_out, oh, ow]` -> `[n*oh*ow, c_out]`; after a
+    /// train-mode forward it accumulates `dW += g_colsᵀ @ cols` and
+    /// `db += Σ g_cols`. Returns `g_cols` and the batch size.
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
+    fn param_grads(&mut self, grad_output: &Tensor) -> (Tensor, usize) {
+        let (cols, n, mode) = self.cached.take().expect("conv backward before forward");
+        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
+        assert_eq!(grad_output.shape(), &[n, self.c_out, oh, ow], "conv backward shape mismatch");
+        let g_cols = grad_output.permute(&[0, 2, 3, 1]).reshape(&[n * oh * ow, self.c_out]);
+        if mode == Mode::Train {
+            self.grad_weight.add_assign(&g_cols.matmul_tn(&cols));
+            self.grad_bias.add_assign(&g_cols.sum_axis(0));
+        }
+        (g_cols, n)
+    }
 }
 
 impl Layer for Conv2d {
@@ -91,33 +108,27 @@ impl Layer for Conv2d {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(input.rank(), 4, "conv expects [n, c, h, w], got {:?}", input.shape());
         assert_eq!(input.shape()[1], self.c_in, "conv channel mismatch");
         let n = input.shape()[0];
         let cols = im2col(input, self.c_in, &self.geom); // [n*oh*ow, cin*k*k]
         let y_cols = cols.matmul_nt(&self.weight).add(&self.bias); // [n*oh*ow, c_out]
-        self.cached_cols = Some(cols);
-        self.cached_batch = n;
+        self.cached = Some((cols, n, mode));
         let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
         // [n, oh, ow, c_out] -> [n, c_out, oh, ow]
         y_cols.reshape(&[n, oh, ow, self.c_out]).permute(&[0, 3, 1, 2])
     }
 
-    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("conv backward before forward");
-        let n = self.cached_batch;
-        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
-        assert_eq!(grad_output.shape(), &[n, self.c_out, oh, ow], "conv backward shape mismatch");
-        // [n, c_out, oh, ow] -> [n*oh*ow, c_out]
-        let g_cols = grad_output.permute(&[0, 2, 3, 1]).reshape(&[n * oh * ow, self.c_out]);
-        // dW += g_colsᵀ @ cols, db += Σ g_cols
-        self.grad_weight.add_assign(&g_cols.matmul_tn(cols));
-        self.grad_bias.add_assign(&g_cols.sum_axis(0));
+        let (g_cols, n) = self.param_grads(grad_output);
         // d_cols = g_cols @ W, then scatter back to image space
         let d_cols = g_cols.matmul(&self.weight);
         col2im(&d_cols, n, self.c_in, &self.geom)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let _ = self.param_grads(grad_output);
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {

@@ -28,7 +28,8 @@ pub struct Dense {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_input: Option<Tensor>,
+    /// The last forward's input and mode, consumed by the backward pass.
+    cached: Option<(Tensor, Mode)>,
 }
 
 impl Dense {
@@ -54,7 +55,7 @@ impl Dense {
             bias: Tensor::zeros(&[out_features]),
             grad_weight: Tensor::zeros(&[in_features, out_features]),
             grad_bias: Tensor::zeros(&[out_features]),
-            cached_input: None,
+            cached: None,
         }
     }
 
@@ -84,7 +85,7 @@ impl Layer for Dense {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(input.rank(), 2, "dense expects [n, d] input, got {:?}", input.shape());
         assert_eq!(
             input.shape()[1],
@@ -93,22 +94,30 @@ impl Layer for Dense {
             input.shape()[1],
             self.in_features()
         );
-        self.cached_input = Some(input.clone());
+        self.cached = Some((input.clone(), mode));
         input.matmul(&self.weight).add(&self.bias)
     }
 
-    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("dense backward called before forward");
+        self.backward_params(grad_output);
+        // dx = g Wᵀ
+        grad_output.matmul_nt(&self.weight)
+    }
+
+    /// Consumes the cache; after a train-mode forward, `dW += xᵀ g` and
+    /// `db += Σ_batch g`. An eval-mode backward skips both.
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let (input, mode) = self.cached.take().expect("dense backward called before forward");
         assert_eq!(
             grad_output.shape(),
             &[input.shape()[0], self.out_features()],
             "dense backward shape mismatch"
         );
-        // dW += xᵀ g, db += Σ_batch g, dx = g Wᵀ
-        self.grad_weight.add_assign(&input.matmul_tn(grad_output));
-        self.grad_bias.add_assign(&grad_output.sum_axis(0));
-        grad_output.matmul_nt(&self.weight)
+        if mode == Mode::Train {
+            self.grad_weight.add_assign(&input.matmul_tn(grad_output));
+            self.grad_bias.add_assign(&grad_output.sum_axis(0));
+        }
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {

@@ -15,7 +15,9 @@ use simpadv_tensor::Tensor;
 pub struct Dropout {
     p: f32,
     rng: StdRng,
-    cached_mask: Option<Tensor>,
+    /// The last forward's mask (`None` inside after an eval forward, whose
+    /// backward is the identity), consumed by the backward pass.
+    cached_mask: Option<Option<Tensor>>,
 }
 
 impl Dropout {
@@ -44,7 +46,7 @@ impl Layer for Dropout {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         match mode {
             Mode::Eval => {
-                self.cached_mask = None;
+                self.cached_mask = Some(None);
                 input.clone()
             }
             Mode::Train => {
@@ -55,15 +57,16 @@ impl Layer for Dropout {
                     .collect();
                 let mask = Tensor::from_vec(mask_data, input.shape());
                 let out = input.mul(&mask);
-                self.cached_mask = Some(mask);
+                self.cached_mask = Some(Some(mask));
                 out
             }
         }
     }
 
+    #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        match &self.cached_mask {
-            Some(mask) => grad_output.mul(mask),
+        match self.cached_mask.take().expect("dropout backward before forward") {
+            Some(mask) => grad_output.mul(&mask),
             None => grad_output.clone(), // eval-mode identity
         }
     }

@@ -9,8 +9,9 @@ use simpadv_tensor::Tensor;
 pub struct MaxPool2d {
     kernel: usize,
     stride: usize,
-    cached_argmax: Option<Vec<usize>>, // flat source index per output element
-    cached_in_shape: Vec<usize>,
+    /// Flat source index per output element and the input shape, consumed
+    /// by the backward pass.
+    cached: Option<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
@@ -22,7 +23,7 @@ impl MaxPool2d {
     /// Panics if `kernel` or `stride` is zero.
     pub fn new(kernel: usize, stride: usize) -> Self {
         assert!(kernel > 0 && stride > 0, "pool kernel and stride must be positive");
-        MaxPool2d { kernel, stride, cached_argmax: None, cached_in_shape: Vec::new() }
+        MaxPool2d { kernel, stride, cached: None }
     }
 
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
@@ -63,16 +64,15 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        self.cached_argmax = Some(arg);
-        self.cached_in_shape = input.shape().to_vec();
+        self.cached = Some((arg, input.shape().to_vec()));
         Tensor::from_vec(out, &[n, c, oh, ow])
     }
 
     #[expect(clippy::expect_used, reason = "R1: documented forward-before-backward contract")]
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let arg = self.cached_argmax.as_ref().expect("maxpool backward before forward");
+        let (arg, in_shape) = self.cached.take().expect("maxpool backward before forward");
         assert_eq!(grad_output.len(), arg.len(), "maxpool backward shape mismatch");
-        let mut gin = Tensor::zeros(&self.cached_in_shape);
+        let mut gin = Tensor::zeros(&in_shape);
         let gslice = gin.as_mut_slice();
         for (dst, &src) in arg.iter().enumerate() {
             gslice[src] += grad_output.as_slice()[dst];
@@ -140,17 +140,13 @@ impl Layer for AvgPool2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(!self.cached_in_shape.is_empty(), "avgpool backward before forward");
-        let (n, c, h, w) = (
-            self.cached_in_shape[0],
-            self.cached_in_shape[1],
-            self.cached_in_shape[2],
-            self.cached_in_shape[3],
-        );
+        let in_shape = std::mem::take(&mut self.cached_in_shape);
+        assert!(!in_shape.is_empty(), "avgpool backward before forward");
+        let (n, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
         let (oh, ow) = ((h - self.kernel) / self.stride + 1, (w - self.kernel) / self.stride + 1);
         assert_eq!(grad_output.shape(), &[n, c, oh, ow], "avgpool backward shape mismatch");
         let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut gin = Tensor::zeros(&self.cached_in_shape);
+        let mut gin = Tensor::zeros(&in_shape);
         let gslice = gin.as_mut_slice();
         let g = grad_output.as_slice();
         for b in 0..n {

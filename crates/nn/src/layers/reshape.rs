@@ -48,8 +48,9 @@ impl Layer for Reshape {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(!self.cached_shape.is_empty(), "reshape backward before forward");
-        grad_output.reshape(&self.cached_shape)
+        let shape = std::mem::take(&mut self.cached_shape);
+        assert!(!shape.is_empty(), "reshape backward before forward");
+        grad_output.reshape(&shape)
     }
 
     fn name(&self) -> &'static str {

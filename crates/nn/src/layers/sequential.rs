@@ -8,7 +8,10 @@ use simpadv_tensor::Tensor;
 /// `forward` threads the input through every layer in order; `backward`
 /// threads the loss gradient through every layer in reverse, accumulating
 /// parameter gradients and returning ∂loss/∂input — the quantity
-/// adversarial attacks consume.
+/// adversarial attacks consume. `backward_params` does the same for a
+/// train step that discards ∂loss/∂input: the first layer gets
+/// [`Layer::backward_params`], every other layer [`Layer::backward`], so
+/// each layer is still entered exactly once per pass.
 ///
 /// # Example
 ///
@@ -90,6 +93,17 @@ impl Layer for Sequential {
             g = layer.backward(&g);
         }
         g
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {
