@@ -43,10 +43,15 @@ impl SavedModel {
     }
 
     /// Rebuilds the classifier (seed only shapes the throwaway init).
-    pub fn restore(&self) -> Classifier {
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::StateMismatch`] when the weights do not fit the
+    /// spec's network.
+    pub fn restore(&self) -> Result<Classifier, PersistError> {
         let mut clf = self.spec.build(0);
-        self.state.restore(clf.network_mut());
-        clf
+        self.state.restore(clf.network_mut())?;
+        Ok(clf)
     }
 
     /// Writes the checkpoint as plain JSON to an arbitrary writer.
@@ -140,7 +145,7 @@ mod tests {
         saved.save(&mut buf).unwrap();
         let loaded = SavedModel::load(buf.as_slice()).unwrap();
         assert_eq!(loaded, saved);
-        let mut restored = loaded.restore();
+        let mut restored = loaded.restore().unwrap();
         assert_eq!(clf.logits(train.images()), restored.logits(train.images()));
         assert_eq!(loaded.trained_on, "mnist");
         assert_eq!(loaded.method, "vanilla");
@@ -192,5 +197,14 @@ mod tests {
             *t = simpadv_tensor::Tensor::from_vec(v, t.shape());
         }
         assert!(matches!(saved.save(&mut Vec::new()), Err(PersistError::NonFinite { .. })));
+    }
+
+    #[test]
+    fn weights_of_another_spec_refuse_to_restore() {
+        let (_, clf) = trained();
+        let mut saved = SavedModel::capture(&ModelSpec::default_mlp(), &clf, "mnist", "vanilla");
+        assert!(matches!(saved.restore(), Err(PersistError::StateMismatch { .. })));
+        saved.spec = ModelSpec::small_cnn();
+        assert!(matches!(saved.restore(), Err(PersistError::StateMismatch { .. })));
     }
 }

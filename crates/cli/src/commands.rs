@@ -407,7 +407,7 @@ fn cmd_evaluate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     args.expect_only(&["model", "dataset", "samples", "seed", "threads", "trace", "trace-format"])?;
     let dataset = parse_dataset(args)?;
     let saved = SavedModel::load_from(args.require("model")?)?;
-    let mut clf = saved.restore();
+    let mut clf = saved.restore()?;
     let samples = args.get_num("samples", 400usize)?;
     let seed = args.get_num("seed", 2u64)?;
     let test = dataset.generate(&SynthConfig::new(samples, seed));
@@ -437,7 +437,7 @@ fn cmd_attack<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     ])?;
     let dataset = parse_dataset(args)?;
     let saved = SavedModel::load_from(args.require("model")?)?;
-    let mut clf = saved.restore();
+    let mut clf = saved.restore()?;
     let seed = args.get_num("seed", 3u64)?;
     let index = args.get_num("index", 0usize)?;
     let eps = dataset.paper_epsilon();

@@ -57,7 +57,9 @@ pub mod train;
 
 pub use config::TrainConfig;
 pub use diagnostics::{audit_masking, DiagnosticCheck, MaskingReport};
-pub use eval::{evaluate_accuracy, evaluate_clean, EvalResult, EvalSuite};
+pub use eval::{
+    evaluate_accuracy, evaluate_accuracy_parallel, evaluate_clean, EvalResult, EvalSuite,
+};
 pub use eval_detail::{class_breakdown, ClassBreakdown};
 pub use model::ModelSpec;
 pub use report::TrainReport;

@@ -134,7 +134,7 @@ where
         snapshot.validate_finite()?;
         let _resume_span = simpadv_trace::span!("checkpoint", action = "resume");
         rng = StdRng::from_state(snapshot.rng_words());
-        snapshot.model.restore(clf.network_mut());
+        snapshot.model.restore(clf.network_mut())?;
         opt.restore_state(snapshot.optim);
         report = snapshot.report;
         aux = snapshot.aux;

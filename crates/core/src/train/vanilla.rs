@@ -85,4 +85,27 @@ mod tests {
         assert_eq!(ra.epoch_losses, rb.epoch_losses);
         assert_eq!(a.logits(data.images()), b.logits(data.images()));
     }
+
+    #[test]
+    fn resuming_into_another_architecture_is_a_typed_error() {
+        let dir = std::env::temp_dir().join("simpadv-vanilla-resume-mismatch");
+        let _ = std::fs::remove_dir_all(&dir);
+        let data = SynthDataset::Mnist.generate(&SynthConfig::new(32, 1));
+        let config = TrainConfig::new(2, 0);
+        let mut session = CheckpointSession::new(&dir, 1).unwrap();
+        let mut mlp = ModelSpec::small_mlp().build(0);
+        VanillaTrainer::new().train_resumable(&mut mlp, &data, &config, &mut session).unwrap();
+
+        // the snapshot holds small-MLP weights; the run now trains the CNN
+        let mut cnn = ModelSpec::small_cnn().build(0);
+        let untouched = cnn.clone().logits(data.images());
+        let mut session = CheckpointSession::new(&dir, 1).unwrap().with_resume(true);
+        let config = TrainConfig::new(3, 0);
+        let err = VanillaTrainer::new()
+            .train_resumable(&mut cnn, &data, &config, &mut session)
+            .unwrap_err();
+        assert!(matches!(err, PersistError::StateMismatch { .. }), "{err}");
+        assert_eq!(cnn.logits(data.images()), untouched, "a refused resume wrote weights");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

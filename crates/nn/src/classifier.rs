@@ -3,7 +3,7 @@
 
 use crate::layer::{Layer, Mode};
 use crate::layers::Sequential;
-use crate::loss::{Loss, SoftmaxCrossEntropy};
+use crate::loss::SoftmaxCrossEntropy;
 use crate::optim::Optimizer;
 use simpadv_tensor::Tensor;
 
@@ -141,7 +141,8 @@ impl Classifier {
         simpadv_trace::clock::tick_backward(1);
     }
 
-    /// Training-mode forward pass (dropout active, batch-norm batch stats).
+    /// Training-mode forward pass: the next backward accumulates parameter
+    /// gradients.
     pub fn forward_train(&mut self, x: &Tensor) -> Tensor {
         self.note_forward();
         self.net.forward(x, Mode::Train)
@@ -228,9 +229,8 @@ impl GradientModel for Classifier {
         let logits = self.net.forward(x, Mode::Eval);
         let (loss, grad_logits) = self.loss.forward(&logits, y);
         // Attack gradients cannot pollute the training gradients: an
-        // eval-mode backward leaves the weight gradients untouched (batch
-        // norm's may accumulate), and every train step zeroes them before
-        // its own backward.
+        // eval-mode backward leaves the parameter gradients untouched, and
+        // every train step zeroes them before its own backward.
         self.note_backward();
         (loss, self.net.backward(&grad_logits))
     }
@@ -256,7 +256,7 @@ impl GradientModel for Classifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{BatchNorm1d, Dense, Relu};
+    use crate::layers::{Dense, Relu};
     use crate::optim::Sgd;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -265,19 +265,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = Sequential::new(vec![
             Box::new(Dense::new(4, 16, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Dense::new(16, 3, &mut rng)),
-        ]);
-        Classifier::new(net, 3)
-    }
-
-    /// `tiny_classifier` with batch norm, whose eval-mode backward still
-    /// accumulates its parameter gradients.
-    fn tiny_bn_classifier(seed: u64) -> Classifier {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Sequential::new(vec![
-            Box::new(Dense::new(4, 16, &mut rng)),
-            Box::new(BatchNorm1d::new(16, 0.1)),
             Box::new(Relu::new()),
             Box::new(Dense::new(16, 3, &mut rng)),
         ]);
@@ -338,26 +325,24 @@ mod tests {
 
     #[test]
     fn attack_gradients_do_not_leak_into_training() {
-        for make in [tiny_classifier, tiny_bn_classifier] {
-            let mut a = make(7);
-            let mut b = make(7);
-            let (x, y) = toy_batch(4);
-            let mut opt_a = Sgd::new(0.1);
-            let mut opt_b = Sgd::new(0.1);
-            // model a computes input gradients before each step; b does not
-            for _ in 0..2 {
-                let _ = a.loss_and_input_grad(&x, &y);
-                let _ = a.custom_input_grad(&x, &mut |logits| logits.clone());
-                let la = a.train_batch(&x, &y, &mut opt_a);
-                let lb = b.train_batch(&x, &y, &mut opt_b);
-                assert_eq!(la.to_bits(), lb.to_bits());
-                let _ = a.loss_and_input_grad(&x, &y);
-                let (la, _) = a.train_batch_with_input_grad(&x, &y, &mut opt_a);
-                let (lb, _) = b.train_batch_with_input_grad(&x, &y, &mut opt_b);
-                assert_eq!(la.to_bits(), lb.to_bits());
-            }
-            assert_eq!(a.logits(&x), b.logits(&x));
+        let mut a = tiny_classifier(7);
+        let mut b = tiny_classifier(7);
+        let (x, y) = toy_batch(4);
+        let mut opt_a = Sgd::new(0.1);
+        let mut opt_b = Sgd::new(0.1);
+        // model a computes input gradients before each step; b does not
+        for _ in 0..2 {
+            let _ = a.loss_and_input_grad(&x, &y);
+            let _ = a.custom_input_grad(&x, &mut |logits| logits.clone());
+            let la = a.train_batch(&x, &y, &mut opt_a);
+            let lb = b.train_batch(&x, &y, &mut opt_b);
+            assert_eq!(la.to_bits(), lb.to_bits());
+            let _ = a.loss_and_input_grad(&x, &y);
+            let (la, _) = a.train_batch_with_input_grad(&x, &y, &mut opt_a);
+            let (lb, _) = b.train_batch_with_input_grad(&x, &y, &mut opt_b);
+            assert_eq!(la.to_bits(), lb.to_bits());
         }
+        assert_eq!(a.logits(&x), b.logits(&x));
     }
 
     #[test]

@@ -4,20 +4,22 @@ use simpadv_tensor::Tensor;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Layers with train-time stochasticity or statistics (dropout, batch norm)
-/// change behaviour based on this; pure layers ignore it.
+/// Every layer computes the same outputs in both modes. The mode decides
+/// what the backward pass computes: after an eval-mode forward, `Dense`
+/// and `Conv2d` skip their parameter gradients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
-    /// Training: dropout active, batch statistics collected.
+    /// Training: the backward pass accumulates parameter gradients.
     Train,
-    /// Inference: deterministic, running statistics used.
+    /// Inference and attacks: the backward pass returns only the input
+    /// gradient.
     Eval,
 }
 
 /// A mutable view of one trainable parameter and its gradient accumulator.
 ///
 /// Layers hand these out in a *stable order* so optimizers can maintain
-/// per-parameter state (momentum, Adam moments) keyed by position.
+/// per-parameter state (SGD's momentum) keyed by position.
 #[derive(Debug)]
 pub struct ParamRef<'a> {
     /// The parameter values, updated in place by the optimizer.
@@ -39,18 +41,18 @@ pub struct ParamRef<'a> {
 ///    `forward(Mode::Train)` it also **accumulates** ∂loss/∂parameters
 ///    into the layer's gradient buffers. After a `forward(Mode::Eval)` it
 ///    returns the gradient of the *evaluation* function (attacks
-///    differentiate the deterministic inference network), and a layer may
-///    skip its parameter gradients: `Dense` and `Conv2d` leave theirs
-///    untouched, while `BatchNorm1d` still accumulates. Callers that read
-///    parameter gradients zero them first and run a train-mode forward.
+///    differentiate the deterministic inference network), and no layer
+///    accumulates parameter gradients after an eval-mode forward. Callers
+///    that read parameter gradients zero them first and run a train-mode
+///    forward.
 /// 3. `backward_params` is `backward` for a caller that discards
 ///    ∂loss/∂input (the first layer of a train step): it consumes the cache
 ///    and accumulates exactly the parameter gradients `backward` would,
 ///    and a layer may skip the input-gradient product.
 /// 4. `params` exposes parameters and gradients in a stable order.
 ///
-/// Layers are `Send + Sync` (they hold plain tensors, scalars, and seeded
-/// rngs) so model replicas can cross `simpadv-runtime` worker boundaries,
+/// Layers are `Send + Sync` (they hold plain tensors and scalars) so model
+/// replicas can cross `simpadv-runtime` worker boundaries,
 /// and [`Layer::clone_box`] produces those replicas from behind the trait
 /// object. Because `backward` consumes the cache, a replica cloned after
 /// a completed backward pass carries no stale activations.
@@ -98,8 +100,8 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// An independent deep copy of this layer behind a fresh box.
     ///
-    /// Replicas carry the full layer state (parameters, buffers, rng
-    /// state) and share nothing with the original; data-parallel code
+    /// Replicas carry the full layer state (parameters and gradient
+    /// buffers) and share nothing with the original; data-parallel code
     /// clones a model per worker and discards the replicas afterwards.
     fn clone_box(&self) -> Box<dyn Layer>;
 
@@ -108,8 +110,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         self.params().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Serializable state: named tensors (parameters *and* buffers such as
-    /// batch-norm running statistics). Defaults to none.
+    /// Serializable state: named parameter tensors. Defaults to none.
     fn state(&self) -> Vec<(String, Tensor)> {
         Vec::new()
     }

@@ -1,6 +1,6 @@
 //! Fully connected (affine) layer.
 
-use crate::init::WeightInit;
+use super::he_uniform;
 use crate::layer::{expect_state, Layer, Mode, ParamRef};
 use rand::Rng;
 use simpadv_tensor::Tensor;
@@ -34,24 +34,14 @@ pub struct Dense {
 
 impl Dense {
     /// Creates a dense layer with He-uniform weights and zero bias.
-    pub fn new<R: Rng + ?Sized>(in_features: usize, out_features: usize, rng: &mut R) -> Self {
-        Self::with_init(in_features, out_features, WeightInit::default(), rng)
-    }
-
-    /// Creates a dense layer with an explicit weight initializer.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn with_init<R: Rng + ?Sized>(
-        in_features: usize,
-        out_features: usize,
-        init: WeightInit,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new<R: Rng + ?Sized>(in_features: usize, out_features: usize, rng: &mut R) -> Self {
         assert!(in_features > 0 && out_features > 0, "dense dims must be positive");
         Dense {
-            weight: init.sample(rng, &[in_features, out_features], in_features, out_features),
+            weight: he_uniform(rng, &[in_features, out_features], in_features),
             bias: Tensor::zeros(&[out_features]),
             grad_weight: Tensor::zeros(&[in_features, out_features]),
             grad_bias: Tensor::zeros(&[out_features]),
@@ -173,7 +163,8 @@ mod tests {
     #[test]
     fn forward_known_values() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Dense::with_init(2, 2, WeightInit::Constant(1.0), &mut rng);
+        let mut l = Dense::new(2, 2, &mut rng);
+        l.weight.fill(1.0);
         let y = l.forward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 2]), Mode::Eval);
         assert_eq!(y.as_slice(), &[3.0, 3.0]);
     }

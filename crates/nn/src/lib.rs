@@ -12,7 +12,7 @@
 //!   Chaining backward through [`Sequential`] therefore yields ∂loss/∂input
 //!   — exactly the quantity FGSM/BIM-style attacks require — at no extra
 //!   cost.
-//! * All randomness (init, dropout) is seeded; training runs are exactly
+//! * Weight initialization is seeded; training runs are exactly
 //!   reproducible.
 //! * Optimizers operate on a flat, stable ordering of parameters exposed by
 //!   [`Layer::params`], so optimizer state never aliases the network.
@@ -43,26 +43,19 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod classifier;
-mod init;
 mod layer;
 pub mod layers;
 mod loss;
 mod metrics;
 mod optim;
-mod schedule;
 mod serialize;
 #[cfg(test)]
 pub(crate) mod testutil;
 
 pub use classifier::{Classifier, GradientModel};
-pub use init::WeightInit;
 pub use layer::{Layer, Mode, ParamRef};
-pub use layers::{
-    AvgPool2d, BatchNorm1d, Conv2d, Dense, Dropout, Flatten, Gelu, LeakyRelu, MaxPool2d, Relu,
-    Reshape, Sequential, Sigmoid, Softmax, Softplus, Tanh,
-};
-pub use loss::{log_softmax, softmax, Loss, MseLoss, SoftmaxCrossEntropy};
-pub use metrics::{accuracy, accuracy_topk, confusion_matrix, ConfusionMatrix};
-pub use optim::{clip_grad_norm, AdaGrad, Adam, OptimState, Optimizer, RmsProp, Sgd};
-pub use schedule::{ConstantLr, CosineAnnealingLr, ExponentialDecayLr, LrSchedule, StepDecayLr};
+pub use layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Reshape, Sequential};
+pub use loss::{log_softmax, softmax, SoftmaxCrossEntropy};
+pub use metrics::{accuracy, ConfusionMatrix};
+pub use optim::{OptimState, Optimizer, Sgd};
 pub use serialize::{load_state_dict_json, save_state_dict_json, StateDict};

@@ -28,33 +28,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
     correct as f32 / labels.len() as f32
 }
 
-/// Fraction of rows whose label is among the `k` highest logits.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, `logits` is not `[n, c]`, or label counts mismatch.
-pub fn accuracy_topk(logits: &Tensor, labels: &[usize], k: usize) -> f32 {
-    assert!(k > 0, "top-k needs k > 0");
-    assert_eq!(logits.rank(), 2, "accuracy_topk expects [n, c] logits");
-    assert_eq!(logits.shape()[0], labels.len(), "label count mismatch");
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let c = logits.shape()[1];
-    let s = logits.as_slice();
-    let mut correct = 0usize;
-    for (i, &label) in labels.iter().enumerate() {
-        let row = &s[i * c..(i + 1) * c];
-        let target = row[label];
-        // rank = number of strictly larger entries
-        let rank = row.iter().filter(|&&v| v > target).count();
-        if rank < k {
-            correct += 1;
-        }
-    }
-    correct as f32 / labels.len() as f32
-}
-
 /// A `c × c` confusion matrix: `counts[true][predicted]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
@@ -145,22 +118,6 @@ impl ConfusionMatrix {
     }
 }
 
-/// Builds a confusion matrix from logits and labels.
-///
-/// # Panics
-///
-/// Panics on shape mismatches or labels outside `0..c`.
-pub fn confusion_matrix(logits: &Tensor, labels: &[usize]) -> ConfusionMatrix {
-    assert_eq!(logits.rank(), 2, "confusion_matrix expects [n, c] logits");
-    assert_eq!(logits.shape()[0], labels.len(), "label count mismatch");
-    let c = logits.shape()[1];
-    let mut m = ConfusionMatrix::new(c);
-    for (pred, &truth) in logits.argmax_rows().into_iter().zip(labels) {
-        m.record(truth, pred);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,26 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn topk_widens_with_k() {
-        let logits = Tensor::from_vec(vec![0.5, 0.9, 0.1, 0.8, 0.2, 0.6], &[2, 3]);
-        // labels: row0 true=0 (rank 2), row1 true=2 (rank 2)
-        assert_eq!(accuracy_topk(&logits, &[0, 2], 1), 0.0);
-        assert_eq!(accuracy_topk(&logits, &[0, 2], 2), 1.0);
-        // top-1 equals plain accuracy
-        assert_eq!(accuracy_topk(&logits, &[1, 0], 1), accuracy(&logits, &[1, 0]));
-        assert_eq!(accuracy_topk(&Tensor::zeros(&[0, 3]), &[], 1), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "k > 0")]
-    fn topk_rejects_zero_k() {
-        accuracy_topk(&Tensor::zeros(&[1, 2]), &[0], 0);
-    }
-
-    #[test]
     fn confusion_matrix_diagonal() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        let m = confusion_matrix(&logits, &[0, 1]);
+        let mut m = ConfusionMatrix::new(2);
+        m.record(0, 0);
+        m.record(1, 1);
         assert_eq!(m.count(0, 0), 1);
         assert_eq!(m.count(1, 1), 1);
         assert_eq!(m.accuracy(), 1.0);

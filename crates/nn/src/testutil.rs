@@ -18,7 +18,8 @@ fn sample_input(rng: &mut StdRng, shape: &[usize]) -> Tensor {
     mag.mul(&sign)
 }
 
-/// Checks ∂L/∂input and ∂L/∂params of `layer` against finite differences.
+/// Checks ∂L/∂input and ∂L/∂params of `layer` after a train-mode forward
+/// against finite differences.
 ///
 /// # Panics
 ///
@@ -26,23 +27,12 @@ fn sample_input(rng: &mut StdRng, shape: &[usize]) -> Tensor {
 /// from the numeric estimate by more than `tol` (relative, with an absolute
 /// floor of `tol`).
 pub fn check_layer_gradients(layer: &mut dyn Layer, input_shape: &[usize], tol: f32, seed: u64) {
-    check_layer_gradients_mode(layer, input_shape, tol, seed, Mode::Train);
-}
-
-/// Like [`check_layer_gradients`] but with an explicit forward [`Mode`].
-pub fn check_layer_gradients_mode(
-    layer: &mut dyn Layer,
-    input_shape: &[usize],
-    tol: f32,
-    seed: u64,
-    mode: Mode,
-) {
     let mut rng = StdRng::seed_from_u64(seed);
     let x = sample_input(&mut rng, input_shape);
-    check_layer_gradients_with_input(layer, &x, tol, seed, mode);
+    check_layer_gradients_with_input(layer, &x, tol, seed);
 }
 
-/// Like [`check_layer_gradients_mode`] but with a caller-chosen input —
+/// Like [`check_layer_gradients`] but with a caller-chosen input —
 /// needed for layers whose gradient is only piecewise smooth (max pooling),
 /// where random inputs can land two window entries within the
 /// finite-difference step of each other.
@@ -52,16 +42,10 @@ pub fn check_layer_gradients_mode(
 /// Panics when an analytic gradient disagrees with its finite-difference
 /// estimate beyond `tol` — this is the assertion the gradient-check tests
 /// rely on.
-pub fn check_layer_gradients_with_input(
-    layer: &mut dyn Layer,
-    x: &Tensor,
-    tol: f32,
-    seed: u64,
-    mode: Mode,
-) {
+pub fn check_layer_gradients_with_input(layer: &mut dyn Layer, x: &Tensor, tol: f32, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
     let x = x.clone();
-    let y = layer.forward(&x, mode);
+    let y = layer.forward(&x, Mode::Train);
     let w = Tensor::rand_uniform(&mut rng, y.shape(), -1.0, 1.0);
 
     layer.zero_grad();
@@ -70,7 +54,7 @@ pub fn check_layer_gradients_with_input(
 
     let h = 5e-3f32;
     let loss = |layer: &mut dyn Layer, x: &Tensor| -> f32 {
-        let y = layer.forward(x, mode);
+        let y = layer.forward(x, Mode::Train);
         y.as_slice().iter().zip(w.as_slice()).map(|(&a, &b)| a * b).sum()
     };
 
@@ -122,5 +106,5 @@ pub fn check_layer_gradients_with_input(
         }
     }
     // Restore a consistent forward cache for any follow-up assertions.
-    let _ = layer.forward(&x, mode);
+    let _ = layer.forward(&x, Mode::Train);
 }

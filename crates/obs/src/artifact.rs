@@ -81,8 +81,10 @@ impl Row {
 ///
 /// Value names follow a convention [`compare`] warns by: a name whose
 /// last `/`-segment starts with `wall` and ends in `_s` is a wall
-/// duration in seconds and warns on drift; [`RUN_CONDITIONS`] warn when
-/// they differ; [`NONZERO_WARNINGS`] warn when nonzero in the candidate.
+/// duration in seconds and warns on drift; the run conditions `threads`
+/// and `threads_available` warn when they differ; the effort counters
+/// `divergent_repeats`, `rejected` and `retries_spent` warn when nonzero
+/// in the candidate.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Meta {
     /// Named numbers (wall statistics, rates, run conditions, effort).
@@ -280,8 +282,8 @@ fn bitwise(a: &f64, b: &f64) -> bool {
 /// even one ulp, the event count or the trace digest. Warns on: wall
 /// drift beyond `wall_threshold_pct`, differing run conditions, a meta
 /// value missing from the candidate, nonzero candidate effort counters
-/// ([`NONZERO_WARNINGS`]), and notes that differ (e.g. quarantine causes,
-/// which are timing-dependent).
+/// (`divergent_repeats`, `rejected`, `retries_spent`), and notes that
+/// differ (e.g. quarantine causes, which are timing-dependent).
 pub fn compare(
     baseline: &Artifact,
     candidate: &Artifact,

@@ -38,7 +38,7 @@ pub struct DiffReport {
     pub events_a: usize,
     /// Events in trace B.
     pub events_b: usize,
-    /// Descriptions of the first [`MAX_DETAILS`] logical mismatches.
+    /// Descriptions of the first logical mismatches (at most 10).
     pub logical: Vec<String>,
     /// Exact count of logical mismatches (length differences included).
     pub logical_total: usize,

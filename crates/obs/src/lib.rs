@@ -20,7 +20,7 @@
 //! * [`flame`] — inferno-compatible collapsed-stack flamegraph output
 //!   (`trace flame`), self-weighted so stack weights telescope to the
 //!   tree's totals.
-//! * [`diff`] — `trace diff A B`, the executable determinism line:
+//! * [`diff`](mod@diff) — `trace diff A B`, the executable determinism line:
 //!   logical event content must be bitwise identical or the comparison
 //!   fails; wall-time drift beyond a threshold is merely annotated.
 //! * [`artifact`] — the one `BENCH_*.json` schema ([`Artifact`]: scale,

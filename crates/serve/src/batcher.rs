@@ -57,7 +57,8 @@ impl Default for BatchConfig {
 pub struct SwapReport {
     /// Generation installed by this rescan, if any.
     pub installed: Option<u64>,
-    /// Newer generations skipped because they failed to load/decode.
+    /// Newer generations skipped because they failed to load, decode or
+    /// restore.
     pub skipped: u64,
 }
 
@@ -114,8 +115,7 @@ impl Engine {
     /// [`ServeError::NoModel`] when the store holds no valid
     /// generation, [`ServeError::Persist`] on store failures.
     pub fn new(store: CheckpointStore, cfg: BatchConfig) -> Result<Self, ServeError> {
-        let (generation, served) = crate::model::load_latest_servable(&store)?;
-        let clf = served.restore()?;
+        let (generation, served, clf) = crate::model::latest_servable(&store)?;
         Ok(Engine {
             cfg,
             store,
@@ -304,9 +304,9 @@ impl Engine {
 
     /// Rescans the checkpoint store for generations newer than the one
     /// currently serving; installs the newest valid one at a batch
-    /// boundary. Unreadable generations increment the
-    /// `serve/generation_skipped` counter and are never retried at a
-    /// lower priority than a valid newer generation.
+    /// boundary. Generations that fail to load, decode or restore
+    /// increment the `serve/generation_skipped` counter and are never
+    /// retried at a lower priority than a valid newer generation.
     ///
     /// # Errors
     ///
@@ -318,17 +318,8 @@ impl Engine {
         gens.reverse();
         let mut skipped = 0u64;
         for gen in gens {
-            let loaded = self
-                .store
-                .load(gen)
-                .map_err(ServeError::from)
-                .and_then(|payload| ServedModel::decode(&payload))
-                .and_then(|served| {
-                    let clf = served.restore()?;
-                    Ok((clf, served.method))
-                });
-            match loaded {
-                Ok((clf, method)) => {
+            match crate::model::load_generation(&self.store, gen) {
+                Ok((ServedModel { method, .. }, clf)) => {
                     {
                         let mut model = lock(&self.model);
                         *model = (gen, clf);

@@ -9,7 +9,8 @@
 //! 2. the `TrainState` JSON that `train --checkpoint-dir` streams into a
 //!    [`CheckpointStore`] generation (recognizable by its `trainer_id`
 //!    field). The CLI always trains the default MLP topology, so the
-//!    rebuild uses [`ModelSpec::default_mlp`].
+//!    rebuild uses [`ModelSpec::default_mlp`]; weights of any other
+//!    topology fail [`ServedModel::restore`] with a typed error.
 //!
 //! Both arrive sealed (CRC-checked envelope) — the store unseals its
 //! generations itself; standalone files go through
@@ -58,11 +59,13 @@ impl ServedModel {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Persist`] when the stored weights contain NaN/Inf.
+    /// [`ServeError::Persist`] when the stored weights contain NaN/Inf or
+    /// do not fit the spec's network (a missing, extra or mis-shaped
+    /// entry).
     pub fn restore(&self) -> Result<Classifier, ServeError> {
         self.state.validate_finite()?;
         let mut clf = self.spec.build(0);
-        self.state.restore(clf.network_mut());
+        self.state.restore(clf.network_mut())?;
         Ok(clf)
     }
 
@@ -138,22 +141,44 @@ impl ServedModel {
     }
 }
 
-/// Scans `store` for the newest generation that decodes into a servable
-/// model, returning it with its generation number.
+/// Loads generation `gen` of `store` and rebuilds its classifier.
 ///
-/// Damaged or undecodable generations are skipped (newest first), each
-/// skip reported through the `serve/generation_skipped` counter so the
-/// monitoring plane sees silent fallbacks.
+/// # Errors
+///
+/// [`ServeError::Persist`] when the generation is damaged, decodes into
+/// neither payload shape, or its weights do not restore.
+pub(crate) fn load_generation(
+    store: &CheckpointStore,
+    gen: u64,
+) -> Result<(ServedModel, Classifier), ServeError> {
+    let served = ServedModel::decode(&store.load(gen)?)?;
+    let clf = served.restore()?;
+    Ok((served, clf))
+}
+
+/// Scans `store` for the newest generation that decodes and restores into
+/// a servable model, returning it with its generation number.
+///
+/// Damaged, undecodable or unrestorable generations are skipped (newest
+/// first), each skip reported through the `serve/generation_skipped`
+/// counter so the monitoring plane sees silent fallbacks.
 ///
 /// # Errors
 ///
 /// [`ServeError::NoModel`] when no generation is servable.
 pub fn load_latest_servable(store: &CheckpointStore) -> Result<(u64, ServedModel), ServeError> {
+    latest_servable(store).map(|(gen, served, _)| (gen, served))
+}
+
+/// [`load_latest_servable`], also returning the restored classifier.
+pub(crate) fn latest_servable(
+    store: &CheckpointStore,
+) -> Result<(u64, ServedModel, Classifier), ServeError> {
     let mut gens = store.generations()?;
     gens.reverse();
     for gen in gens {
-        match store.load(gen).map_err(ServeError::from).and_then(|p| ServedModel::decode(&p)) {
-            Ok(model) => return Ok((gen, model)),
+        match load_generation(store, gen) {
+            Ok((served, clf)) => return Ok((gen, served, clf)),
             Err(_) => {
                 simpadv_trace::counter_with(
                     "serve/generation_skipped",
@@ -201,5 +226,51 @@ mod tests {
     fn decode_rejects_garbage_with_detail() {
         let err = ServedModel::decode(b"{\"neither\": true}").unwrap_err();
         assert!(err.to_string().contains("neither"), "{err}");
+    }
+
+    /// `spec` paired with the weights of a network built from `weights`.
+    fn mismatched(spec: ModelSpec, weights: &ModelSpec) -> ServedModel {
+        ServedModel::capture(&spec, &weights.build(3), "mnist", "proposed")
+    }
+
+    fn assert_state_mismatch(result: Result<Classifier, ServeError>) {
+        match result {
+            Err(ServeError::Persist(PersistError::StateMismatch { .. })) => {}
+            other => panic!("expected a state mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_weights_of_another_topology() {
+        let mlp = ModelSpec::default_mlp();
+        assert_state_mismatch(mismatched(mlp.clone(), &ModelSpec::small_mlp()).restore());
+        assert_state_mismatch(mismatched(mlp.clone(), &ModelSpec::small_cnn()).restore());
+        assert_state_mismatch(mismatched(ModelSpec::small_cnn(), &mlp).restore());
+        let mut empty = mismatched(mlp.clone(), &mlp);
+        empty.state.entries.clear();
+        assert_state_mismatch(empty.restore());
+    }
+
+    #[test]
+    fn train_state_payload_of_another_topology_decodes_but_refuses_to_restore() {
+        use simpadv::train::{TrainerAux, TRAIN_STATE_VERSION};
+        let (_, clf) = tiny_model();
+        let state = TrainState {
+            version: TRAIN_STATE_VERSION,
+            trainer_id: "proposed".into(),
+            config: simpadv::TrainConfig::new(1, 0),
+            next_epoch: 1,
+            rng: vec![0; 4],
+            data_crc: 0,
+            model: StateDict::capture(clf.network()),
+            optim: simpadv_nn::OptimState::default(),
+            report: simpadv::TrainReport::new("proposed"),
+            aux: TrainerAux::None,
+        };
+        // decode assumes the default MLP for a train-state payload
+        let decoded =
+            ServedModel::decode(serde_json::to_string(&state).unwrap().as_bytes()).unwrap();
+        assert_eq!(decoded.spec, ModelSpec::default_mlp());
+        assert_state_mismatch(decoded.restore());
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! | route           | method | answer                                   |
 //! |-----------------|--------|------------------------------------------|
-//! | `/predict`      | POST   | 200 [`PredictResponse`], 503 on backpressure |
+//! | `/predict`      | POST   | 200 [`PredictResponse`](crate::PredictResponse), 503 on backpressure |
 //! | `/healthz`      | GET    | 200 [`HealthBody`]                       |
 //! | `/stats`        | GET    | 200 [`crate::stats::StatsSnapshot`]      |
 //! | `/metrics`      | GET    | 200 Prometheus text exposition           |

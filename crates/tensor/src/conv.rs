@@ -71,36 +71,6 @@ impl Conv2dGeometry {
         Conv2dGeometry { in_h, in_w, k_h, k_w, stride, padding }
     }
 
-    /// Input height.
-    pub fn in_h(&self) -> usize {
-        self.in_h
-    }
-
-    /// Input width.
-    pub fn in_w(&self) -> usize {
-        self.in_w
-    }
-
-    /// Kernel height.
-    pub fn k_h(&self) -> usize {
-        self.k_h
-    }
-
-    /// Kernel width.
-    pub fn k_w(&self) -> usize {
-        self.k_w
-    }
-
-    /// Stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Zero padding applied to each border.
-    pub fn padding(&self) -> usize {
-        self.padding
-    }
-
     /// Output height.
     pub fn out_h(&self) -> usize {
         (self.in_h + 2 * self.padding - self.k_h) / self.stride + 1

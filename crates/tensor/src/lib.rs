@@ -11,7 +11,7 @@
 //! * NumPy-style broadcasting for element-wise arithmetic,
 //! * 2-D matrix multiplication (with transpose variants) for dense layers,
 //! * `im2col`/`col2im` lowering for convolution layers,
-//! * axis and global reductions (`sum`, `mean`, `max`, `argmax`, ...),
+//! * axis and global reductions (`sum`, `mean`, `sum_axis`, `argmax_rows`, ...),
 //! * seeded random constructors (uniform and Box–Muller normal).
 //!
 //! Everything is deterministic under a caller-provided RNG; the crate never
@@ -52,7 +52,7 @@ mod tensor;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use linalg::{matmul_bytes, matmul_flops};
-pub use rng::{normal_f32, shuffled_indices, NormalSampler};
+pub use rng::{shuffled_indices, NormalSampler};
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::Tensor;
 

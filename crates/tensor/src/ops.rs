@@ -1,10 +1,9 @@
-//! Element-wise arithmetic, broadcasting binary operations and operator
-//! overloads for [`Tensor`].
+//! Element-wise arithmetic and broadcasting binary operations for
+//! [`Tensor`].
 
 use crate::error::TensorError;
 use crate::shape::{broadcast_shapes, broadcast_strides};
 use crate::tensor::Tensor;
-use std::ops::{Add, Div, Mul, Neg, Sub};
 
 impl Tensor {
     // ------------------------------------------------------------------
@@ -22,11 +21,6 @@ impl Tensor {
         for v in self.as_mut_slice() {
             *v = f(*v);
         }
-    }
-
-    /// Element-wise negation.
-    pub fn neg(&self) -> Tensor {
-        self.map(|v| -v)
     }
 
     /// Element-wise absolute value.
@@ -49,21 +43,6 @@ impl Tensor {
                 0.0
             }
         })
-    }
-
-    /// Element-wise exponential.
-    pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
-    }
-
-    /// Element-wise natural logarithm.
-    pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
-    }
-
-    /// Element-wise square root.
-    pub fn sqrt(&self) -> Tensor {
-        self.map(f32::sqrt)
     }
 
     /// Element-wise integer power.
@@ -206,15 +185,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a * b)
     }
 
-    /// Element-wise division with broadcasting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the shapes cannot be broadcast together.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a / b)
-    }
-
     /// Element-wise maximum with broadcasting.
     ///
     /// # Panics
@@ -245,50 +215,9 @@ impl Tensor {
         }
     }
 
-    /// In-place element-wise multiplication (no broadcasting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn mul_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "mul_assign shape mismatch");
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a *= b;
-        }
-    }
-
     /// Fills every element with `value`.
     pub fn fill(&mut self, value: f32) {
         self.map_in_place(|_| value);
-    }
-}
-
-macro_rules! impl_binop {
-    ($trait:ident, $method:ident, $tensor_method:ident) => {
-        impl $trait<&Tensor> for &Tensor {
-            type Output = Tensor;
-            fn $method(self, rhs: &Tensor) -> Tensor {
-                Tensor::$tensor_method(self, rhs)
-            }
-        }
-        impl $trait<f32> for &Tensor {
-            type Output = Tensor;
-            fn $method(self, rhs: f32) -> Tensor {
-                self.zip_map(&Tensor::scalar(rhs), |a, b| $trait::$method(a, b))
-            }
-        }
-    };
-}
-
-impl_binop!(Add, add, add);
-impl_binop!(Sub, sub, sub);
-impl_binop!(Mul, mul, mul);
-impl_binop!(Div, div, div);
-
-impl Neg for &Tensor {
-    type Output = Tensor;
-    fn neg(self) -> Tensor {
-        Tensor::neg(self)
     }
 }
 
@@ -334,7 +263,6 @@ mod tests {
         assert_eq!(a.add(&b).sum(), a.sum() + 6.0);
         assert_eq!(a.sub(&a).sum(), 0.0);
         assert_eq!(a.mul(&b), a);
-        assert_eq!(b.div(&b), b);
     }
 
     #[test]
@@ -357,7 +285,7 @@ mod tests {
     #[test]
     fn broadcasting_scalar_tensor() {
         let a = t2x3();
-        let s = Tensor::scalar(1.0);
+        let s = Tensor::from_vec(vec![1.0], &[]);
         assert_eq!(a.add(&s).sum(), a.sum() + 6.0);
     }
 
@@ -387,32 +315,14 @@ mod tests {
         let mut a = Tensor::ones(&[2]);
         a.add_assign(&Tensor::from_slice(&[1.0, 2.0]));
         assert_eq!(a.as_slice(), &[2.0, 3.0]);
-        a.mul_assign(&Tensor::from_slice(&[2.0, 0.5]));
-        assert_eq!(a.as_slice(), &[4.0, 1.5]);
         a.fill(9.0);
         assert_eq!(a.as_slice(), &[9.0, 9.0]);
     }
 
     #[test]
-    fn operator_overloads() {
-        let a = Tensor::ones(&[2]);
-        let b = Tensor::from_slice(&[2.0, 3.0]);
-        assert_eq!((&a + &b).as_slice(), &[3.0, 4.0]);
-        assert_eq!((&b - &a).as_slice(), &[1.0, 2.0]);
-        assert_eq!((&b * &b).as_slice(), &[4.0, 9.0]);
-        assert_eq!((&b / &b).as_slice(), &[1.0, 1.0]);
-        assert_eq!((&b * 2.0).as_slice(), &[4.0, 6.0]);
-        assert_eq!((-&b).as_slice(), &[-2.0, -3.0]);
-    }
-
-    #[test]
     fn unary_math() {
         let t = Tensor::from_slice(&[1.0, 4.0]);
-        assert_eq!(t.sqrt().as_slice(), &[1.0, 2.0]);
         assert_eq!(t.powi(2).as_slice(), &[1.0, 16.0]);
-        let e = Tensor::from_slice(&[0.0]).exp();
-        assert_eq!(e.as_slice(), &[1.0]);
-        assert!((Tensor::from_slice(&[std::f32::consts::E]).ln().item() - 1.0).abs() < 1e-6);
         assert_eq!(Tensor::from_slice(&[-2.0]).abs().as_slice(), &[2.0]);
     }
 }

@@ -70,42 +70,6 @@ impl Tensor {
             .ok_or(TensorError::EmptyReduction { op: "min" })
     }
 
-    /// Flat index of the maximum element (first occurrence).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn argmax(&self) -> usize {
-        assert!(!self.is_empty(), "argmax over an empty tensor");
-        let mut best = 0;
-        let s = self.as_slice();
-        for (i, &v) in s.iter().enumerate() {
-            if v > s[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Population variance of all elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn variance(&self) -> f32 {
-        let m = self.mean();
-        self.as_slice().iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / self.len() as f32
-    }
-
-    /// Population standard deviation of all elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn std_dev(&self) -> f32 {
-        self.variance().sqrt()
-    }
-
     // ------------------------------------------------------------------
     // Axis reductions
     // ------------------------------------------------------------------
@@ -129,16 +93,6 @@ impl Tensor {
         let n = self.shape()[axis];
         assert!(n > 0, "mean over an empty axis");
         self.sum_axis(axis).mul_scalar(1.0 / n as f32)
-    }
-
-    /// Maximum along `axis`, removing that axis from the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis` is out of range or has size 0.
-    pub fn max_axis(&self, axis: usize) -> Tensor {
-        assert!(axis < self.rank() && self.shape()[axis] > 0, "max over an empty or missing axis");
-        self.reduce_axis(axis, f32::NEG_INFINITY, f32::max)
     }
 
     /// Per-row argmax of a 2-D tensor: for shape `[n, c]` returns the `n`
@@ -208,8 +162,6 @@ mod tests {
         assert_eq!(t().mean(), 2.5);
         assert_eq!(t().max(), 5.0);
         assert_eq!(t().min(), 0.0);
-        assert_eq!(t().argmax(), 5);
-        assert!((t().variance() - 35.0 / 12.0).abs() < 1e-6);
         assert_eq!(Tensor::default().sum(), 0.0);
     }
 
@@ -228,12 +180,6 @@ mod tests {
     fn mean_axis_values() {
         assert_eq!(t().mean_axis(0).as_slice(), &[1.5, 2.5, 3.5]);
         assert_eq!(t().mean_axis(1).as_slice(), &[1.0, 4.0]);
-    }
-
-    #[test]
-    fn max_axis_values() {
-        assert_eq!(t().max_axis(0).as_slice(), &[3.0, 4.0, 5.0]);
-        assert_eq!(t().max_axis(1).as_slice(), &[2.0, 5.0]);
     }
 
     #[test]

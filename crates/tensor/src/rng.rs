@@ -6,15 +6,6 @@
 
 use rand::{Rng, RngExt};
 
-/// Draws one sample from `N(mean, std_dev²)` using the Box–Muller transform.
-///
-/// For bulk sampling prefer [`NormalSampler`], which caches the second
-/// variate of each Box–Muller pair.
-pub fn normal_f32<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
-    let mut s = NormalSampler::new(mean, std_dev);
-    s.sample(rng)
-}
-
 /// A Box–Muller normal sampler that caches the spare variate.
 ///
 /// # Example

@@ -51,16 +51,6 @@ impl Tensor {
         Self::full(shape, 1.0)
     }
 
-    /// Creates a tensor with the same shape as `other`, filled with zeros.
-    pub fn zeros_like(other: &Tensor) -> Self {
-        Self::zeros(other.shape())
-    }
-
-    /// Creates a rank-0 (scalar) tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor { data: vec![value], shape: vec![] }
-    }
-
     /// Creates a tensor from a flat buffer and a shape.
     ///
     /// # Panics
@@ -235,29 +225,6 @@ impl Tensor {
         Ok(Tensor { data: self.data.clone(), shape: shape.to_vec() })
     }
 
-    /// Reshapes in place (no data movement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let want: usize = shape.iter().product();
-        assert_eq!(
-            want,
-            self.len(),
-            "cannot reshape {} elements into {:?} ({} elements)",
-            self.len(),
-            shape,
-            want
-        );
-        self.shape = shape.to_vec();
-    }
-
-    /// Flattens to rank 1.
-    pub fn flatten(&self) -> Tensor {
-        Tensor { data: self.data.clone(), shape: vec![self.len()] }
-    }
-
     /// Transpose of a 2-D tensor.
     ///
     /// # Panics
@@ -407,54 +374,6 @@ impl Tensor {
         shape[0] = total;
         Tensor { data, shape }
     }
-
-    /// Splits along axis 0 into chunks of at most `chunk` rows, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0` or the tensor is rank 0.
-    pub fn split_rows(&self, chunk: usize) -> Vec<Tensor> {
-        assert!(chunk > 0, "chunk size must be positive");
-        assert!(self.rank() >= 1, "split_rows() needs rank >= 1");
-        let n = self.shape[0];
-        let mut out = Vec::with_capacity(n.div_ceil(chunk));
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            out.push(self.rows(start..end));
-            start = end;
-        }
-        out
-    }
-
-    /// Whether every element is finite (no NaN / infinity) — the cheap
-    /// invariant check training loops assert on.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
-    }
-
-    /// Number of nonzero elements.
-    pub fn count_nonzero(&self) -> usize {
-        self.data.iter().filter(|&&v| v != 0.0).count()
-    }
-
-    /// Stacks rank-`r` tensors into a rank-`r+1` tensor along a new axis 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or shapes disagree.
-    pub fn stack(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "stack needs at least one tensor");
-        let inner = parts[0].shape.clone();
-        let mut data = Vec::with_capacity(parts.len() * parts[0].len());
-        for p in parts {
-            assert_eq!(p.shape, inner, "stack shape mismatch");
-            data.extend_from_slice(&p.data);
-        }
-        let mut shape = vec![parts.len()];
-        shape.extend_from_slice(&inner);
-        Tensor { data, shape }
-    }
 }
 
 impl Default for Tensor {
@@ -519,7 +438,7 @@ mod tests {
         assert_eq!(Tensor::zeros(&[2, 3]).len(), 6);
         assert_eq!(Tensor::ones(&[4]).sum(), 4.0);
         assert_eq!(Tensor::full(&[2], 2.5).as_slice(), &[2.5, 2.5]);
-        assert_eq!(Tensor::scalar(3.0).item(), 3.0);
+        assert_eq!(Tensor::from_vec(vec![3.0], &[]).item(), 3.0);
         assert_eq!(Tensor::eye(3).sum(), 3.0);
         assert_eq!(Tensor::arange(4).as_slice(), &[0.0, 1.0, 2.0, 3.0]);
     }
@@ -592,37 +511,12 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_stack() {
+    fn concat_rows_appends() {
         let a = Tensor::ones(&[2, 2]);
         let b = Tensor::zeros(&[1, 2]);
         let c = Tensor::concat_rows(&[&a, &b]);
         assert_eq!(c.shape(), &[3, 2]);
         assert_eq!(c.sum(), 4.0);
-
-        let s = Tensor::stack(&[&Tensor::ones(&[2]), &Tensor::zeros(&[2])]);
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.sum(), 2.0);
-    }
-
-    #[test]
-    fn split_rows_partitions() {
-        let t = Tensor::arange(10).reshape(&[5, 2]);
-        let parts = t.split_rows(2);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].shape(), &[2, 2]);
-        assert_eq!(parts[2].shape(), &[1, 2]);
-        assert_eq!(Tensor::concat_rows(&parts.iter().collect::<Vec<_>>()), t);
-    }
-
-    #[test]
-    fn finite_and_nonzero_checks() {
-        assert!(Tensor::ones(&[3]).all_finite());
-        let mut t = Tensor::ones(&[3]);
-        t.as_mut_slice()[1] = f32::NAN;
-        assert!(!t.all_finite());
-        t.as_mut_slice()[1] = f32::INFINITY;
-        assert!(!t.all_finite());
-        assert_eq!(Tensor::from_slice(&[0.0, 1.0, 0.0, -2.0]).count_nonzero(), 2);
     }
 
     #[test]

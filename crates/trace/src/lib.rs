@@ -2,7 +2,7 @@
 //! the adversarial-training stack.
 //!
 //! The crate provides one process-wide tracer with three event sources —
-//! scoped [`span`]s, [`counter`]/[`gauge`] point events, and
+//! scoped [`span`](fn@span)s, [`counter`]/[`gauge`] point events, and
 //! [`observe`]d histograms — flowing into a pluggable [`Sink`] (JSONL,
 //! pretty, in-memory). Spans carry two clocks: monotonic wall time
 //! (reported as non-logical `meta`) and the deterministic logical clock
@@ -313,7 +313,7 @@ pub fn span(name: &str, fields: Vec<(String, FieldValue)>) -> SpanGuard {
     span_with_remote(name, fields, None)
 }
 
-/// [`span`] with an explicit remote parent — the propagation entry
+/// [`span`](fn@span) with an explicit remote parent — the propagation entry
 /// point. The serve server opens each request span with the context its
 /// client sent in `X-Simpadv-Traceparent`, so the request hangs under
 /// the client's span in the assembled campaign tree regardless of which
@@ -396,7 +396,7 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a [`span`] with an ergonomic `key = value` field list:
+/// Opens a [`span`](fn@span) with an ergonomic `key = value` field list:
 /// `span!("epoch", trainer = "proposed", index = epoch)`.
 #[macro_export]
 macro_rules! span {

@@ -311,7 +311,7 @@ pub mod collection {
         hi: usize,
     }
 
-    /// Length specifications accepted by [`vec`]: an exact `usize`, a
+    /// Length specifications accepted by [`vec`](fn@vec): an exact `usize`, a
     /// half-open `Range`, or a `RangeInclusive`.
     pub trait IntoSizeRange {
         /// Converts into the canonical inclusive interval.
@@ -344,7 +344,7 @@ pub mod collection {
         VecStrategy { element, len: len.into_size_range() }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
